@@ -13,14 +13,14 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .closed_forms import (
     char_poly_coeffs,
     classical_correlation_symmetric,
-    degenerate_fidelity,
+    closed_form_discord,
     symmetric_fidelity,
     x_candidate_discord,
     x_fidelity_equatorial,
@@ -35,7 +35,6 @@ from .discord_core import (
     helstrom_success,
     induced_ensemble,
     lambda_matrix,
-    make_result,
     max_fidelity_bruteforce,
 )
 from .errors import (
@@ -231,22 +230,11 @@ def _grid_from_args(args) -> GridConfig:
 # discord subcommand
 
 
-def _degenerate_result(params: XStateParams):
-    """DiscordResult wrapper around the rank-two endpoint closed form."""
-    value, m_opt, regime = degenerate_fidelity(params)
-    axial = MeasurementDirection((0.0, 0.0, 1.0))
-    eq = x_fidelity_equatorial(params)
-    equatorial = MeasurementDirection.from_angles(np.pi / 2.0, eq.psi_opt)
-    if isinstance(m_opt, tuple):
-        dirs = [axial, equatorial]
-        family = None
-    elif m_opt == 1.0:
-        dirs = [axial]
-        family = None
-    else:
-        dirs = [equatorial]
-        family = "free_psi" if eq.free_psi else None
-    return make_result(value, dirs, "degenerate", family), m_opt, regime
+# dispatch trail entry of each closed-form source under --method auto
+_AUTO_TRAIL = {
+    "symmetric_fidelity": "symmetric_family->symmetric_fidelity",
+    "degenerate_fidelity": "degenerate_preconditions->degenerate_fidelity",
+}
 
 
 def _run_discord(resolved: ResolvedState, method: str, grid: GridConfig) -> dict:
@@ -265,28 +253,24 @@ def _run_discord(resolved: ResolvedState, method: str, grid: GridConfig) -> dict
         dispatch.append("candidates")
         result, breakdown = x_candidate_discord(params)
         extra["candidates"] = _breakdown_dict(breakdown)
-    elif method == "closed":
-        result, extra, dispatch = _closed_dispatch(params)
     else:
-        if is_symmetric_family(params):
-            dispatch.append("symmetric_family->symmetric_fidelity")
-            result, branch = symmetric_fidelity(params)
-            extra["symmetric_branch"] = {
-                "case": branch.case,
-                "xy_zero": branch.xy_zero,
-                "optimal_family": branch.optimal_family,
-            }
+        try:
+            result, source, detail = closed_form_discord(params)
+        except PreconditionNotMet:
+            if method == "closed":
+                raise
+            dispatch.append("general->candidates+bruteforce")
+            cand_result, breakdown = x_candidate_discord(params)
+            extra["candidates"] = _breakdown_dict(breakdown)
+            result = max_fidelity_bruteforce(resolved.rho, grid)
+            candidate_gap = result.fidelity - cand_result.fidelity
         else:
-            try:
-                result, m_opt, regime = _degenerate_result(params)
-                dispatch.append("degenerate_preconditions->degenerate_fidelity")
+            dispatch.append(f"closed->{source}" if method == "closed" else _AUTO_TRAIL[source])
+            if source == "symmetric_fidelity":
+                extra["symmetric_branch"] = asdict(detail)
+            else:
+                m_opt, regime = detail
                 extra["degenerate"] = {"m_opt": m_opt, "regime": regime}
-            except PreconditionNotMet:
-                dispatch.append("general->candidates+bruteforce")
-                cand_result, breakdown = x_candidate_discord(params)
-                extra["candidates"] = _breakdown_dict(breakdown)
-                result = max_fidelity_bruteforce(resolved.rho, grid)
-                candidate_gap = result.fidelity - cand_result.fidelity
 
     if candidate_gap is None and params is not None and result.method != "x_candidates":
         cand_result, _ = x_candidate_discord(params)
@@ -305,20 +289,6 @@ def _run_discord(resolved: ResolvedState, method: str, grid: GridConfig) -> dict
     }
     report.update(extra)
     return report
-
-
-def _closed_dispatch(params: XStateParams):
-    if is_symmetric_family(params):
-        result, branch = symmetric_fidelity(params)
-        extra = {"symmetric_branch": {
-            "case": branch.case,
-            "xy_zero": branch.xy_zero,
-            "optimal_family": branch.optimal_family,
-        }}
-        return result, extra, ["closed->symmetric_fidelity"]
-    result, m_opt, regime = _degenerate_result(params)
-    return result, {"degenerate": {"m_opt": m_opt, "regime": regime}}, \
-        ["closed->degenerate_fidelity"]
 
 
 def _breakdown_dict(breakdown) -> dict:
@@ -465,13 +435,10 @@ def _sweep_row(param_value: float, params: XStateParams, methods: set,
     if "bruteforce" in methods:
         result = max_fidelity_bruteforce(rho, grid)
     elif "closed" in methods:
-        if is_symmetric_family(params):
-            result, _ = symmetric_fidelity(params)
-        else:
-            try:
-                result, _, _ = _degenerate_result(params)
-            except PreconditionNotMet:
-                result, _ = x_candidate_discord(params)
+        try:
+            result, _, _ = closed_form_discord(params)
+        except PreconditionNotMet:
+            result, _ = x_candidate_discord(params)
     else:
         result, _ = x_candidate_discord(params)
 

@@ -550,6 +550,34 @@ def degenerate_fidelity(params: XStateParams) -> tuple:
     return float(f_equator), 0.0, regime
 
 
+def closed_form_discord(params: XStateParams) -> tuple:
+    """Exact maximal fidelity of an X-state that has a closed form.
+
+    Applies the a=d, b=c case analysis first, then the rank-two endpoint
+    rule, and raises PreconditionNotMet for any other state.  Returns
+    (DiscordResult, source, detail): source 'symmetric_fidelity' with the
+    SymmetricBranch as detail, or 'degenerate_fidelity' with
+    (m_opt, regime) as detail.
+    """
+    if is_symmetric_family(params):
+        result, branch = symmetric_fidelity(params)
+        return result, "symmetric_fidelity", branch
+    value, m_opt, regime = degenerate_fidelity(params)
+    eq = x_fidelity_equatorial(params)
+    axial = MeasurementDirection((0.0, 0.0, 1.0))
+    equatorial = MeasurementDirection.from_angles(np.pi / 2.0, eq.psi_opt)
+    family = None
+    if isinstance(m_opt, tuple):
+        dirs = [axial, equatorial]
+    elif m_opt == 1.0:
+        dirs = [axial]
+    else:
+        dirs = [equatorial]
+        family = "free_psi" if eq.free_psi else None
+    result = make_result(value, dirs, "degenerate", family)
+    return result, "degenerate_fidelity", (m_opt, regime)
+
+
 def discord_upper_bound(params: XStateParams) -> tuple:
     """Upper bound 2(1 - sqrt(F_best)) on the discord of any X-state,
     F_best the better candidate axis value; exact on the a=d, b=c

@@ -9,6 +9,7 @@ from buresdiscord.closed_forms import (
     bd_transport,
     char_poly_coeffs,
     classical_correlation_symmetric,
+    closed_form_discord,
     degenerate_fidelity,
     discord_upper_bound,
     lambda1_profile,
@@ -434,3 +435,24 @@ class TestDegenerateFidelity:
         # det factors both vanish for Bell, and the value is 1/2
         value, _, _ = degenerate_fidelity(BELL)
         assert abs(value - 0.5) < 1e-14
+
+
+class TestClosedFormDiscord:
+    def test_symmetric_state_uses_case_analysis(self):
+        result, source, detail = closed_form_discord(ODD_PAIR)
+        assert source == "symmetric_fidelity"
+        assert detail == symmetric_fidelity(ODD_PAIR)[1]
+        assert result.method == "symmetric_closed"
+
+    def test_rank_two_state_uses_endpoint_rule(self):
+        p = XStateParams(0.4, 0.3, 0.2, 0.1, x=np.sqrt(0.06), y=0.2)
+        result, source, (m_opt, regime) = closed_form_discord(p)
+        assert source == "degenerate_fidelity"
+        assert m_opt == 0.0
+        assert regime == "interior"
+        assert result.method == "degenerate"
+        assert result.fidelity == degenerate_fidelity(p)[0]
+
+    def test_general_x_state_raises(self):
+        with pytest.raises(PreconditionNotMet):
+            closed_form_discord(XStateParams(0.4, 0.3, 0.2, 0.1, x=0.05))
