@@ -17,10 +17,6 @@ class NotUnitary(BuresDiscordError):
     """Matrix fails the unitarity check."""
 
 
-class NoConvergence(BuresDiscordError):
-    """Iterative eigensolver exceeded its sweep cap."""
-
-
 class InvalidParams(BuresDiscordError):
     """State parameters violate a constraint; the message names it."""
 

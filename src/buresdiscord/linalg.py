@@ -1,10 +1,11 @@
 """Dense complex linear algebra for 2x2 and 4x4 Hermitian matrices.
 
-Everything here is sized for two-qubit work: a cyclic Jacobi
-eigensolver, the positive-semidefinite square root, Uhlmann fidelity
-and the squared Bures distance, trace norm, partial traces, and the
-von Neumann entropy.  All functions are pure and operate on plain
-numpy arrays.
+Everything here is sized for two-qubit work: a Hermitian
+eigendecomposition in non-increasing order (LAPACK through
+np.linalg.eigh), the positive-semidefinite square root, Uhlmann
+fidelity and the squared Bures distance, trace norm, partial traces,
+and the von Neumann entropy.  All functions are pure and operate on
+plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams, NoConvergence, NotHermitian, NotPSD
+from .errors import InvalidParams, NotHermitian, NotPSD
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-9
 PSD_CLAMP = 1e-10          # eigenvalues in [-PSD_CLAMP, 0) are treated as 0
-JACOBI_OFF_TOL = 1e-13     # off-diagonal Frobenius norm at convergence
-JACOBI_MAX_SWEEPS = 100
 # Relative floor below which eigenvalues of an exactly singular product
 # are zeroed before taking square roots; keeps fidelity accurate to
 # ~1e-12 on rank-deficient states instead of the sqrt(eps) noise floor.
@@ -62,59 +61,16 @@ class EigenDecomposition:
 
 
 def herm_eig(hmat) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Full eigendecomposition of a Hermitian matrix (LAPACK, via np.linalg.eigh).
 
-    Converges when the off-diagonal Frobenius norm drops below
-    ``JACOBI_OFF_TOL``; raises NoConvergence after ``JACOBI_MAX_SWEEPS``
-    sweeps.  Ties in the non-increasing eigenvalue ordering are broken
-    by a stable sort so degenerate spectra come out deterministically.
+    Eigenvalues come out non-increasing; ties are broken by a stable
+    sort of the ascending LAPACK order, so degenerate spectra come out
+    deterministically.
     """
     hmat = require_hermitian(hmat)
-    n = hmat.shape[0]
-    a = hmat.astype(complex).copy()
-    v = np.eye(n, dtype=complex)
-
-    def _off_norm() -> float:
-        off = np.abs(a) ** 2
-        np.fill_diagonal(off, 0.0)
-        return float(np.sqrt(np.sum(off)))
-
-    for _sweep in range(JACOBI_MAX_SWEEPS):
-        if _off_norm() < JACOBI_OFF_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = a[p, q]
-                if abs(beta) == 0.0:
-                    continue
-                phase = beta / abs(beta)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(beta))
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # columns: [p q] -> [c*p - s*conj(phase)*q, s*phase*p + c*q]
-                col_p = c * a[:, p] - s * np.conj(phase) * a[:, q]
-                col_q = s * phase * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = c * a[p, :] - s * phase * a[q, :]
-                row_q = s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vcol_p = c * v[:, p] - s * np.conj(phase) * v[:, q]
-                vcol_q = s * phase * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vcol_p, vcol_q
-    if _off_norm() >= JACOBI_OFF_TOL:
-        raise NoConvergence(
-            f"Jacobi sweeps exceeded {JACOBI_MAX_SWEEPS} without reaching off-norm {JACOBI_OFF_TOL:.0e}"
-        )
-
-    vals = np.real(np.diag(a))
+    vals, vecs = np.linalg.eigh(hmat)
     order = np.argsort(-vals, kind="stable")
-    return EigenDecomposition(vals[order].copy(), v[:, order].copy())
+    return EigenDecomposition(vals[order], vecs[:, order])
 
 
 def _clipped_sqrt_eigs(vals: np.ndarray, clamp: float = PSD_CLAMP) -> np.ndarray:
