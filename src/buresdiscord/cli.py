@@ -252,7 +252,7 @@ def _run_discord(resolved: ResolvedState, method: str, grid: GridConfig) -> dict
     elif method == "candidates":
         dispatch.append("candidates")
         result, breakdown = x_candidate_discord(params)
-        extra["candidates"] = _breakdown_dict(breakdown)
+        extra["candidates"] = asdict(breakdown)
     else:
         try:
             result, source, detail = closed_form_discord(params)
@@ -261,7 +261,7 @@ def _run_discord(resolved: ResolvedState, method: str, grid: GridConfig) -> dict
                 raise
             dispatch.append("general->candidates+bruteforce")
             cand_result, breakdown = x_candidate_discord(params)
-            extra["candidates"] = _breakdown_dict(breakdown)
+            extra["candidates"] = asdict(breakdown)
             result = max_fidelity_bruteforce(resolved.rho, grid)
             candidate_gap = result.fidelity - cand_result.fidelity
         else:
@@ -289,18 +289,6 @@ def _run_discord(resolved: ResolvedState, method: str, grid: GridConfig) -> dict
     }
     report.update(extra)
     return report
-
-
-def _breakdown_dict(breakdown) -> dict:
-    return {
-        "F_axial": breakdown.F_axial,
-        "F_equatorial": breakdown.F_equatorial,
-        "h_max": breakdown.h_max,
-        "k": breakdown.k,
-        "tau": breakdown.tau,
-        "kappa": breakdown.kappa,
-        "chosen": breakdown.chosen,
-    }
 
 
 def cmd_discord(args) -> int:
@@ -564,14 +552,8 @@ def _suite_char_poly(rng, samples, _grid):
         direction = MeasurementDirection((sin_theta * np.cos(psi),
                                           sin_theta * np.sin(psi), m))
         lam = herm_eig(lambda_matrix(x_state(params), direction)).eigenvalues
-        e1 = lam.sum()
-        e2 = sum(lam[i] * lam[j] for i in range(4) for j in range(i + 1, 4))
-        e3 = sum(lam[i] * lam[j] * lam[k]
-                 for i in range(4) for j in range(i + 1, 4) for k in range(j + 1, 4))
-        e4 = lam.prod()
-        worst = max(worst,
-                    abs(coeffs.t3 + e1), abs(coeffs.t2 - e2),
-                    abs(coeffs.t1 + e3), abs(coeffs.t0 - e4))
+        closed = np.array([coeffs.t3, coeffs.t2, coeffs.t1, coeffs.t0])
+        worst = max(worst, float(np.max(np.abs(closed - np.poly(lam)[1:]))))
     return worst, n
 
 
@@ -645,15 +627,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
+    def add_common(p, needs_input=True, grid=True):
         if needs_input:
             p.add_argument("--input", required=True,
                            help="path to a JSON StateSpec, or - for stdin")
-        p.add_argument("--grid-theta", type=int, default=64)
-        p.add_argument("--grid-psi", type=int, default=128)
-        p.add_argument("--refine-iters", type=int, default=200)
+        if grid:
+            p.add_argument("--grid-theta", type=int, default=64)
+            p.add_argument("--grid-psi", type=int, default=128)
+            p.add_argument("--refine-iters", type=int, default=200)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=42)
 
     p_discord = sub.add_parser("discord", help="maximal fidelity and discord")
     add_common(p_discord)
@@ -675,6 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the self-check suites")
     add_common(p_verify, needs_input=False)
+    p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--samples", type=int, default=50)
     p_verify.add_argument("--tolerance", type=float, default=None,
                           help="override every suite tolerance")
@@ -682,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classical = sub.add_parser("classical",
                                  help="geometric classical correlation (a=d, b=c family)")
-    add_common(p_classical)
+    add_common(p_classical, grid=False)
     p_classical.set_defaults(func=cmd_classical)
 
     return parser

@@ -269,13 +269,18 @@ def classical_correlation_symmetric(params: XStateParams) -> tuple:
 # general X-state candidates
 
 
+def _z_terms(params: XStateParams) -> tuple:
+    """(F_z, tau, kappa) with the clipped radicands tau = (b+c)^2 - 4|x|^2
+    and kappa = (a+d)^2 - 4|y|^2."""
+    tau = max((params.b + params.c) ** 2 - 4.0 * abs(params.x) ** 2, 0.0)
+    kappa = max((params.a + params.d) ** 2 - 4.0 * abs(params.y) ** 2, 0.0)
+    return float(0.5 * (1.0 + np.sqrt(tau) + np.sqrt(kappa))), tau, kappa
+
+
 def x_fidelity_z(params: XStateParams) -> float:
     """Fidelity objective at the z axis:
     (1 + sqrt((b+c)^2 - 4|x|^2) + sqrt((a+d)^2 - 4|y|^2)) / 2."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    tau = max((b + c) ** 2 - 4.0 * abs(params.x) ** 2, 0.0)
-    kappa = max((a + d) ** 2 - 4.0 * abs(params.y) ** 2, 0.0)
-    return float(0.5 * (1.0 + np.sqrt(tau) + np.sqrt(kappa)))
+    return _z_terms(params)[0]
 
 
 def _axial_block_vector(total: float, coherence: complex, sign: int, outer: bool) -> np.ndarray:
@@ -343,11 +348,9 @@ class EquatorialCandidate:
     free_psi: bool
 
 
-def x_fidelity_equatorial(params: XStateParams) -> EquatorialCandidate:
-    """Best fidelity over axes in the x-y plane:
-    F = 1/2 + sqrt(2|xy| + ac + bd + 2 sqrt((ad - |y|^2)(bc - |x|^2)))
-    at azimuth psi = -arg(x y)/2; when x y = 0 the value holds for every
-    azimuth."""
+def _equatorial_terms(params: XStateParams) -> tuple:
+    """(EquatorialCandidate, h_max, k) with h_max = 2|xy| + ac + bd and
+    the clipped radicand k = (ad - |y|^2)(bc - |x|^2)."""
     a, b, c, d = params.a, params.b, params.c, params.d
     xy = params.x * params.y
     h_max = 2.0 * abs(xy) + a * c + b * d
@@ -355,7 +358,15 @@ def x_fidelity_equatorial(params: XStateParams) -> EquatorialCandidate:
     f = 0.5 + np.sqrt(max(h_max + 2.0 * np.sqrt(k), 0.0))
     free = abs(xy) <= BRANCH_TOL
     psi_opt = (-_arg_or_zero(xy) / 2.0) % (2.0 * np.pi)
-    return EquatorialCandidate(float(f), psi_opt, free)
+    return EquatorialCandidate(float(f), psi_opt, free), h_max, k
+
+
+def x_fidelity_equatorial(params: XStateParams) -> EquatorialCandidate:
+    """Best fidelity over axes in the x-y plane:
+    F = 1/2 + sqrt(2|xy| + ac + bd + 2 sqrt((ad - |y|^2)(bc - |x|^2)))
+    at azimuth psi = -arg(x y)/2; when x y = 0 the value holds for every
+    azimuth."""
+    return _equatorial_terms(params)[0]
 
 
 @dataclass(frozen=True)
@@ -387,13 +398,8 @@ def x_candidate_discord(params: XStateParams) -> tuple:
     full-rank states included: random X-states show gaps up to about
     1e-3 (demos/xstate_candidates.py).
     """
-    a, b, c, d = params.a, params.b, params.c, params.d
-    f_axial = x_fidelity_z(params)
-    eq = x_fidelity_equatorial(params)
-    tau = max((b + c) ** 2 - 4.0 * abs(params.x) ** 2, 0.0)
-    kappa = max((a + d) ** 2 - 4.0 * abs(params.y) ** 2, 0.0)
-    h_max = 2.0 * abs(params.x * params.y) + a * c + b * d
-    k = max((a * d - abs(params.y) ** 2) * (b * c - abs(params.x) ** 2), 0.0)
+    f_axial, tau, kappa = _z_terms(params)
+    eq, h_max, k = _equatorial_terms(params)
 
     axial_dir = MeasurementDirection((0.0, 0.0, 1.0))
     equatorial_dir = MeasurementDirection.from_angles(np.pi / 2.0, eq.psi_opt)
@@ -584,12 +590,5 @@ def discord_upper_bound(params: XStateParams) -> tuple:
     family and on the rank-two subfamily (whose closed form coincides
     with the endpoint maximum by construction).  Returns the bound and
     the witness direction achieving F_best."""
-    f_axial = x_fidelity_z(params)
-    eq = x_fidelity_equatorial(params)
-    if f_axial >= eq.fidelity:
-        witness = MeasurementDirection((0.0, 0.0, 1.0))
-        best = f_axial
-    else:
-        witness = MeasurementDirection.from_angles(np.pi / 2.0, eq.psi_opt)
-        best = eq.fidelity
-    return float(2.0 * (1.0 - np.sqrt(np.clip(best, 0.0, 1.0)))), witness
+    result, _ = x_candidate_discord(params)
+    return float(result.discord), result.optimal_directions[0]

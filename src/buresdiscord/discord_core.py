@@ -323,9 +323,10 @@ def _detect_free_family(fn, grid_vals, thetas, psis, best_val, best_tp):
 def max_fidelity_bruteforce(rho, grid: GridConfig = GridConfig()) -> DiscordResult:
     """Maximize the fidelity objective over all measurement axes.
 
-    The scan covers the full sphere (the objective is only guaranteed
-    even under u -> -u for full-rank states), refines from the best five
-    cells, and reports every refined direction tying the maximum.
+    The objective is even, F(u) = F(-u), for every state: L(-u) = -L(u)
+    and both sides equal (1 + l1 + l2 - l3 - l4)/2.  The scan still
+    covers the full sphere, refines from the best five cells, and
+    reports every refined direction tying the maximum.
     """
     rho = check_density_matrix(rho)
     fn = _objective_batch_factory(rho)
@@ -341,6 +342,14 @@ def max_fidelity_bruteforce(rho, grid: GridConfig = GridConfig()) -> DiscordResu
 
 # ---------------------------------------------------------------------------
 # closest classical state and discrimination quantities
+
+
+def _measurement_basis(direction: MeasurementDirection) -> tuple:
+    """The eigenvectors (alpha0, alpha1) of u . sigma for the outcomes +u and -u."""
+    theta, psi = direction.theta, direction.psi
+    alpha0 = np.array([np.cos(theta / 2.0), np.exp(1j * psi) * np.sin(theta / 2.0)])
+    alpha1 = np.array([-np.exp(-1j * psi) * np.sin(theta / 2.0), np.cos(theta / 2.0)])
+    return alpha0, alpha1
 
 
 def ccs_from_measurement(rho, direction: MeasurementDirection) -> CcsResult:
@@ -361,12 +370,8 @@ def ccs_from_measurement(rho, direction: MeasurementDirection) -> CcsResult:
     proj_top = top @ top.conj().T
     projectors = (proj_top, I4 - proj_top)
 
-    theta, psi = direction.theta, direction.psi
-    alpha0 = np.array([np.cos(theta / 2.0), np.exp(1j * psi) * np.sin(theta / 2.0)])
-    alpha1 = np.array([-np.exp(-1j * psi) * np.sin(theta / 2.0), np.cos(theta / 2.0)])
-
     chi = np.zeros((4, 4), dtype=complex)
-    for alpha, proj in zip((alpha0, alpha1), projectors):
+    for alpha, proj in zip(_measurement_basis(direction), projectors):
         sandwich = np.kron(np.outer(alpha, alpha.conj()), I2)
         chi += sandwich @ root @ proj @ root @ sandwich
     chi = (chi + chi.conj().T) / 2.0
@@ -394,13 +399,9 @@ def induced_ensemble(rho, direction: MeasurementDirection) -> QsdEnsemble:
     rho = check_density_matrix(rho)
     rho_a = partial_trace_B(rho)
     root = psd_sqrt(rho)
-    theta, psi = direction.theta, direction.psi
-    alpha0 = np.array([np.cos(theta / 2.0), np.exp(1j * psi) * np.sin(theta / 2.0)])
-    alpha1 = np.array([-np.exp(-1j * psi) * np.sin(theta / 2.0), np.cos(theta / 2.0)])
-
     priors = []
     conds = []
-    for alpha in (alpha0, alpha1):
+    for alpha in _measurement_basis(direction):
         weight = float(np.real(alpha.conj() @ rho_a @ alpha))
         if weight < VANISHING_PRIOR:
             priors.append(0.0)

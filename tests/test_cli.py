@@ -300,6 +300,18 @@ class TestVerifyCommand:
         assert code == 1
 
 
+@pytest.mark.parametrize("command,option", [
+    ("discord", "--seed"), ("ccs", "--seed"), ("sweep", "--seed"), ("classical", "--seed"),
+    ("classical", "--grid-theta"), ("classical", "--grid-psi"), ("classical", "--refine-iters"),
+])
+def test_options_the_command_never_reads_are_rejected(tmp_path, capsys, command, option):
+    path = write_spec(tmp_path, WERNER_HALF)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", path, option, "1"])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
         path = write_spec(tmp_path, WERNER_HALF)
