@@ -27,7 +27,6 @@ from .closed_forms import (
     x_fidelity_z,
 )
 from .discord_core import (
-    GridConfig,
     MeasurementDirection,
     ccs_from_measurement,
     entropic_discord,
@@ -218,14 +217,6 @@ def _try_x_params(rho: np.ndarray) -> XStateParams | None:
         return None
 
 
-def _grid_from_args(args) -> GridConfig:
-    return GridConfig(
-        n_theta=args.grid_theta,
-        n_phi=args.grid_psi,
-        refine_iters=args.refine_iters,
-    )
-
-
 # ---------------------------------------------------------------------------
 # discord subcommand
 
@@ -237,7 +228,7 @@ _AUTO_TRAIL = {
 }
 
 
-def _run_discord(resolved: ResolvedState, method: str, grid: GridConfig) -> dict:
+def _run_discord(resolved: ResolvedState, method: str) -> dict:
     params = resolved.params
     dispatch: list = []
     candidate_gap = None
@@ -248,7 +239,7 @@ def _run_discord(resolved: ResolvedState, method: str, grid: GridConfig) -> dict
 
     if method == "bruteforce" or (method == "auto" and params is None):
         dispatch.append("bruteforce")
-        result = max_fidelity_bruteforce(resolved.rho, grid)
+        result = max_fidelity_bruteforce(resolved.rho)
     elif method == "candidates":
         dispatch.append("candidates")
         result, breakdown = x_candidate_discord(params)
@@ -262,7 +253,7 @@ def _run_discord(resolved: ResolvedState, method: str, grid: GridConfig) -> dict
             dispatch.append("general->candidates+bruteforce")
             cand_result, breakdown = x_candidate_discord(params)
             extra["candidates"] = asdict(breakdown)
-            result = max_fidelity_bruteforce(resolved.rho, grid)
+            result = max_fidelity_bruteforce(resolved.rho)
             candidate_gap = result.fidelity - cand_result.fidelity
         else:
             dispatch.append(f"closed->{source}" if method == "closed" else _AUTO_TRAIL[source])
@@ -293,7 +284,7 @@ def _run_discord(resolved: ResolvedState, method: str, grid: GridConfig) -> dict
 
 def cmd_discord(args) -> int:
     resolved = resolve_state(_read_input(args.input))
-    report = _run_discord(resolved, args.method, _grid_from_args(args))
+    report = _run_discord(resolved, args.method)
     _write_text(_dumps(report), args.out)
     return 0
 
@@ -303,19 +294,20 @@ def cmd_discord(args) -> int:
 
 
 def cmd_ccs(args) -> int:
+    if args.psi is not None and args.theta is None:
+        raise InvalidParams("--psi overrides the measurement axis only together with --theta")
     resolved = resolve_state(_read_input(args.input))
-    grid = _grid_from_args(args)
     if args.theta is not None:
         direction = MeasurementDirection.from_angles(args.theta, args.psi or 0.0)
         source = "override"
     else:
-        report = _run_discord(resolved, "auto", grid)
+        report = _run_discord(resolved, "auto")
         entry = report["optimal_directions"][0]
         direction = MeasurementDirection.from_angles(entry["theta"], entry["psi"])
         source = report["method"]
 
     ccs = ccs_from_measurement(resolved.rho, direction)
-    check = max_fidelity_bruteforce(ccs.state, grid)
+    check = max_fidelity_bruteforce(ccs.state)
     re, im = _matrix_parts(ccs.state)
     report = {
         "direction": _direction_entry(direction),
@@ -417,11 +409,10 @@ def _line_param_values(start_fields: dict, stop_fields: dict, ts: np.ndarray) ->
     return [lo + (hi - lo) * t for t in ts]
 
 
-def _sweep_row(param_value: float, params: XStateParams, methods: set,
-               grid: GridConfig) -> dict:
+def _sweep_row(param_value: float, params: XStateParams, methods: set) -> dict:
     rho = x_state(params)
     if "bruteforce" in methods:
-        result = max_fidelity_bruteforce(rho, grid)
+        result = max_fidelity_bruteforce(rho)
     elif "closed" in methods:
         try:
             result, _, _ = closed_form_discord(params)
@@ -441,7 +432,7 @@ def _sweep_row(param_value: float, params: XStateParams, methods: set,
         classical = _fmt(classical_correlation_symmetric(params)[0])
     entropic = ""
     if "entropic" in methods:
-        entropic = _fmt(entropic_discord(rho, grid)[1])
+        entropic = _fmt(entropic_discord(rho)[1])
 
     best = result.optimal_directions[0]
     return {
@@ -466,9 +457,8 @@ def cmd_sweep(args) -> int:
     if not methods & {"bruteforce", "closed", "candidates"}:
         raise InvalidParams("sweep needs at least one of bruteforce/closed/candidates")
     values, points = _sweep_points(spec)
-    grid = _grid_from_args(args)
 
-    rows = [_sweep_row(v, p, methods, grid) for v, p in zip(values, points)]
+    rows = [_sweep_row(v, p, methods) for v, p in zip(values, points)]
     if args.out is None or args.out == "-":
         writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
         writer.writeheader()
@@ -485,40 +475,40 @@ def cmd_sweep(args) -> int:
 # verify subcommand
 
 
-def _suite_closed_vs_bruteforce(rng, samples, grid):
+def _suite_closed_vs_bruteforce(rng, samples):
     worst = 0.0
     for _ in range(samples):
         params = random_symmetric_params(rng)
         closed, _ = symmetric_fidelity(params)
-        brute = max_fidelity_bruteforce(x_state(params), grid)
+        brute = max_fidelity_bruteforce(x_state(params))
         worst = max(worst, abs(closed.fidelity - brute.fidelity))
     return worst, samples
 
 
-def _suite_candidate_bound(rng, samples, grid):
+def _suite_candidate_bound(rng, samples):
     worst = 0.0
     for _ in range(samples):
         params = random_x_params(rng)
         cand, _ = x_candidate_discord(params)
-        brute = max_fidelity_bruteforce(x_state(params), grid)
+        brute = max_fidelity_bruteforce(x_state(params))
         worst = max(worst, cand.fidelity - brute.fidelity)
     return max(worst, 0.0), samples
 
 
-def _suite_unitary_invariance(rng, samples, grid):
+def _suite_unitary_invariance(rng, samples):
     worst = 0.0
     n = max(samples // 2, 5)
     for _ in range(n):
         params = random_x_params(rng)
         rho = x_state(params)
         rotated = local_unitary(rho, random_unitary(rng), random_unitary(rng))
-        base = max_fidelity_bruteforce(rho, grid)
-        moved = max_fidelity_bruteforce(rotated, grid)
+        base = max_fidelity_bruteforce(rho)
+        moved = max_fidelity_bruteforce(rotated)
         worst = max(worst, abs(base.fidelity - moved.fidelity))
     return worst, n
 
 
-def _suite_discrimination_bridge(rng, samples, _grid):
+def _suite_discrimination_bridge(rng, samples):
     worst = 0.0
     n = samples * 2
     for _ in range(n):
@@ -530,17 +520,17 @@ def _suite_discrimination_bridge(rng, samples, _grid):
     return worst, n
 
 
-def _suite_zero_discord(rng, samples, grid):
+def _suite_zero_discord(rng, samples):
     worst = 0.0
     n = max(samples // 2, 5)
     for _ in range(n):
         rho = classical_state(random_classical_params(rng))
-        result = max_fidelity_bruteforce(rho, grid)
+        result = max_fidelity_bruteforce(rho)
         worst = max(worst, result.discord)
     return worst, n
 
 
-def _suite_char_poly(rng, samples, _grid):
+def _suite_char_poly(rng, samples):
     worst = 0.0
     n = samples * 2
     for _ in range(n):
@@ -557,7 +547,7 @@ def _suite_char_poly(rng, samples, _grid):
     return worst, n
 
 
-def _suite_reference_values(_rng, _samples, _grid):
+def _suite_reference_values(_rng, _samples):
     checks = []
     werner = werner_params(0.5)
     closed, _ = symmetric_fidelity(werner)
@@ -594,13 +584,14 @@ _VERIFY_SUITES = [
 
 
 def cmd_verify(args) -> int:
-    grid = _grid_from_args(args)
+    if args.samples < 1:
+        raise InvalidParams(f"--samples must be at least 1, got {args.samples}")
     summary = {"seed": args.seed, "samples": args.samples, "suites": {}}
     all_passed = True
     for index, (name, runner, default_tol) in enumerate(_VERIFY_SUITES):
         tol = args.tolerance if args.tolerance is not None else default_tol
         rng = np.random.default_rng([args.seed, index])
-        max_dev, count = runner(rng, args.samples, grid)
+        max_dev, count = runner(rng, args.samples)
         passed = max_dev <= tol
         all_passed = all_passed and passed
         summary["suites"][name] = {
@@ -627,14 +618,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True, grid=True):
+    def add_common(p, needs_input=True):
         if needs_input:
             p.add_argument("--input", required=True,
                            help="path to a JSON StateSpec, or - for stdin")
-        if grid:
-            p.add_argument("--grid-theta", type=int, default=64)
-            p.add_argument("--grid-psi", type=int, default=128)
-            p.add_argument("--refine-iters", type=int, default=200)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_discord = sub.add_parser("discord", help="maximal fidelity and discord")
@@ -648,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ccs.add_argument("--theta", type=float, default=None,
                        help="override the measurement polar angle")
     p_ccs.add_argument("--psi", type=float, default=None,
-                       help="override the measurement azimuth")
+                       help="override the measurement azimuth (needs --theta)")
     p_ccs.set_defaults(func=cmd_ccs)
 
     p_sweep = sub.add_parser("sweep", help="one-parameter family sweep to CSV")
@@ -665,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classical = sub.add_parser("classical",
                                  help="geometric classical correlation (a=d, b=c family)")
-    add_common(p_classical, grid=False)
+    add_common(p_classical)
     p_classical.set_defaults(func=cmd_classical)
 
     return parser

@@ -32,7 +32,6 @@ from .states import (
 
 BRANCH_TOL = 1e-12
 DEGENERATE_PRECONDITION_TOL = 1e-10
-FIDELITY_MATCH_TOL = 1e-8
 
 
 def _arg_or_zero(z: complex) -> float:

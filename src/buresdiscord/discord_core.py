@@ -40,6 +40,12 @@ OPTIMUM_CLUSTER_TOL = 1e-7
 VANISHING_PRIOR = 1e-12
 FREE_FAMILY_MIN_SIN = 0.1
 
+# sphere-search resolution: a 64 x 128 scan of (theta, psi), then at most
+# REFINE_ITERS simplex iterations from the best five cells
+THETA_AXIS = np.linspace(0.0, np.pi, 64)
+PSI_AXIS = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+REFINE_ITERS = 200
+
 
 @dataclass(frozen=True)
 class MeasurementDirection:
@@ -73,22 +79,6 @@ class MeasurementDirection:
     def sigma(self) -> np.ndarray:
         """The 2x2 operator u . sigma."""
         return self.u[0] * PAULI[0] + self.u[1] * PAULI[1] + self.u[2] * PAULI[2]
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Sphere-search resolution: n_theta x n_phi scan, then simplex
-    refinement (at most refine_iters iterations) from the best 5 cells."""
-
-    n_theta: int = 64
-    n_phi: int = 128
-    refine_iters: int = 200
-
-    def __post_init__(self):
-        if self.n_theta < 32 or self.n_phi < 64:
-            raise InvalidParams(f"grid {self.n_theta}x{self.n_phi} below the 32x64 minimum")
-        if self.refine_iters < 0:
-            raise InvalidParams("refine_iters must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -193,12 +183,12 @@ def _objective_batch_factory(rho):
     return neg_fidelity
 
 
-def _nelder_mead_batch(fn, starts: np.ndarray, steps, iters: int,
-                       xtol: float = 1e-10, ftol: float = 1e-12):
+def _nelder_mead_batch(fn, starts: np.ndarray, steps):
     """Minimize fn over 2-d points, one simplex per start, all in lockstep.
 
-    fn maps (N, 2) -> (N,).  Returns (points, values) with the best
-    vertex of each simplex.
+    fn maps (N, 2) -> (N,).  Stops after REFINE_ITERS iterations, or once
+    every simplex has an objective spread below 1e-12 or a diameter below
+    1e-10.  Returns (points, values) with the best vertex of each simplex.
     """
     k = starts.shape[0]
     verts = np.stack([starts,
@@ -206,14 +196,14 @@ def _nelder_mead_batch(fn, starts: np.ndarray, steps, iters: int,
                       starts + np.array([0.0, steps[1]])], axis=1)
     vals = fn(verts.reshape(-1, 2)).reshape(k, 3)
 
-    for _ in range(iters):
+    for _ in range(REFINE_ITERS):
         order = np.argsort(vals, axis=1)
         vals = np.take_along_axis(vals, order, axis=1)
         verts = np.take_along_axis(verts, order[:, :, None], axis=1)
 
         spread = vals[:, 2] - vals[:, 0]
         diam = np.max(np.abs(verts - verts[:, :1]), axis=(1, 2))
-        if np.all((spread < ftol) | (diam < xtol)):
+        if np.all((spread < 1e-12) | (diam < 1e-10)):
             break
 
         centroid = verts[:, :2].mean(axis=1)
@@ -251,33 +241,22 @@ def _nelder_mead_batch(fn, starts: np.ndarray, steps, iters: int,
     return verts[np.arange(k), best], vals[np.arange(k), best]
 
 
-def _sphere_minimize(fn, grid: GridConfig):
+def _sphere_minimize(fn):
     """Grid scan plus simplex refinement of a batched objective on the sphere.
 
-    Returns (best_value, best_angles, refined_points, refined_values,
-    grid_values, theta_axis, psi_axis).
+    Returns (refined_points, refined_values, grid_values).  The first
+    simplex starts at the best grid cell, whose value it re-evaluates bit
+    for bit, and Nelder-Mead never drops its best vertex, so the refined
+    minimum is never above the grid minimum and needs no grid fallback.
     """
-    thetas = np.linspace(0.0, np.pi, grid.n_theta)
-    psis = np.linspace(0.0, 2.0 * np.pi, grid.n_phi, endpoint=False)
-    tg, pg = np.meshgrid(thetas, psis, indexing="ij")
+    tg, pg = np.meshgrid(THETA_AXIS, PSI_AXIS, indexing="ij")
     tp = np.stack([tg.ravel(), pg.ravel()], axis=1)
-    grid_vals = fn(tp).reshape(grid.n_theta, grid.n_phi)
+    grid_vals = fn(tp).reshape(THETA_AXIS.size, PSI_AXIS.size)
 
-    flat = grid_vals.ravel()
-    starts = tp[np.argsort(flat, kind="stable")[:5]]
-    steps = (0.5 * np.pi / grid.n_theta, np.pi / grid.n_phi)
-    if grid.refine_iters > 0:
-        pts, vals = _nelder_mead_batch(fn, starts, steps, grid.refine_iters)
-    else:
-        pts, vals = starts, fn(starts)
-
-    best_idx = int(np.argmin(vals))
-    best_val, best_tp = float(vals[best_idx]), pts[best_idx]
-    grid_best = float(flat.min())
-    if grid_best < best_val:
-        best_val = grid_best
-        best_tp = tp[int(np.argmin(flat))]
-    return best_val, best_tp, pts, vals, grid_vals, thetas, psis
+    starts = tp[np.argsort(grid_vals.ravel(), kind="stable")[:5]]
+    steps = (0.5 * np.pi / THETA_AXIS.size, np.pi / PSI_AXIS.size)
+    pts, vals = _nelder_mead_batch(fn, starts, steps)
+    return pts, vals, grid_vals
 
 
 def _canonical_angles(theta: float, psi: float) -> tuple:
@@ -302,7 +281,7 @@ def _cluster_optima(pts: np.ndarray, vals: np.ndarray, best_val: float) -> list:
     return chosen
 
 
-def _detect_free_family(fn, grid_vals, thetas, psis, best_val, best_tp):
+def _detect_free_family(fn, grid_vals, best_val, best_tp):
     """Classify continuous optimum families: a psi circle, a theta arc, or
     the whole sphere.  The grid decides the whole-sphere case; the circle
     and arc are re-evaluated through the refined optimum, since grid rows
@@ -311,33 +290,31 @@ def _detect_free_family(fn, grid_vals, thetas, psis, best_val, best_tp):
         return "free_sphere"
     theta_opt, psi_opt = _canonical_angles(best_tp[0], best_tp[1])
     if np.sin(theta_opt) >= FREE_FAMILY_MIN_SIN:
-        circle = -fn(np.column_stack([np.full_like(psis, theta_opt), psis]))
+        circle = -fn(np.column_stack([np.full_like(PSI_AXIS, theta_opt), PSI_AXIS]))
         if np.all(circle >= best_val - OPTIMUM_CLUSTER_TOL):
             return "free_psi"
-    arc = -fn(np.column_stack([thetas, np.full_like(thetas, psi_opt)]))
+    arc = -fn(np.column_stack([THETA_AXIS, np.full_like(THETA_AXIS, psi_opt)]))
     if np.all(arc >= best_val - OPTIMUM_CLUSTER_TOL):
         return "free_theta"
     return None
 
 
-def max_fidelity_bruteforce(rho, grid: GridConfig = GridConfig()) -> DiscordResult:
+def max_fidelity_bruteforce(rho) -> DiscordResult:
     """Maximize the fidelity objective over all measurement axes.
 
     The objective is even, F(u) = F(-u), for every state: L(-u) = -L(u)
     and both sides equal (1 + l1 + l2 - l3 - l4)/2.  The scan still
-    covers the full sphere, refines from the best five cells, and
-    reports every refined direction tying the maximum.
+    covers the full sphere at a fixed 64 x 128 (theta, psi) resolution,
+    refines from the best five cells with at most 200 simplex
+    iterations, and reports every refined direction tying the maximum.
     """
     rho = check_density_matrix(rho)
     fn = _objective_batch_factory(rho)
-    best_val, best_tp, pts, vals, grid_vals, thetas, psis = _sphere_minimize(fn, grid)
-    f_max = -best_val
-    directions = _cluster_optima(pts, vals, best_val)
-    if not directions:
-        t, p = _canonical_angles(best_tp[0], best_tp[1])
-        directions = [MeasurementDirection.from_angles(t, p)]
-    family = _detect_free_family(fn, -grid_vals, thetas, psis, f_max, best_tp)
-    return make_result(f_max, directions, "bruteforce", family)
+    pts, vals, grid_vals = _sphere_minimize(fn)
+    best = int(np.argmin(vals))
+    directions = _cluster_optima(pts, vals, vals[best])
+    family = _detect_free_family(fn, -grid_vals, -vals[best], pts[best])
+    return make_result(-vals[best], directions, "bruteforce", family)
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +433,15 @@ def _conditional_entropy_factory(rho):
     return objective
 
 
-def entropic_discord(rho, grid: GridConfig = GridConfig()) -> tuple:
+def entropic_discord(rho) -> tuple:
     """Entropy-based classical correlation and discord.
 
     classical_corr = S(rho_B) - min over axes of the average conditional
-    entropy of B; discord = mutual information - classical_corr.
+    entropy of B, found by the same fixed sphere search as
+    max_fidelity_bruteforce; discord = mutual information - classical_corr.
     """
     rho = check_density_matrix(rho)
     fn = _conditional_entropy_factory(rho)
-    best_val, _, _, _, _, _, _ = _sphere_minimize(fn, grid)
-    classical = von_neumann_entropy(partial_trace_A(rho)) - best_val
+    _, vals, _ = _sphere_minimize(fn)
+    classical = von_neumann_entropy(partial_trace_A(rho)) - float(vals.min())
     return float(classical), float(mutual_information(rho) - classical)

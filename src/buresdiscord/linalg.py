@@ -43,12 +43,12 @@ def _as_complex(mat) -> np.ndarray:
     return out
 
 
-def require_hermitian(mat, tol: float = HERM_TOL) -> np.ndarray:
-    """Return the matrix as a complex array, raising NotHermitian when max|H - H^dag| > tol."""
+def require_hermitian(mat) -> np.ndarray:
+    """Return the matrix as a complex array, raising NotHermitian when max|H - H^dag| > HERM_TOL."""
     out = _as_complex(mat)
     dev = np.max(np.abs(out - out.conj().T))
-    if dev > tol:
-        raise NotHermitian(f"max |H_ij - conj(H_ji)| = {dev:.3e} exceeds {tol:.0e}")
+    if dev > HERM_TOL:
+        raise NotHermitian(f"max |H_ij - conj(H_ji)| = {dev:.3e} exceeds {HERM_TOL:.0e}")
     return out
 
 
@@ -73,9 +73,9 @@ def herm_eig(hmat) -> EigenDecomposition:
     return EigenDecomposition(vals[order], vecs[:, order])
 
 
-def _clipped_sqrt_eigs(vals: np.ndarray, clamp: float = PSD_CLAMP) -> np.ndarray:
-    if vals.min() < -clamp:
-        raise NotPSD(f"eigenvalue {vals.min():.3e} below -{clamp:.0e}")
+def _clipped_sqrt_eigs(vals: np.ndarray) -> np.ndarray:
+    if vals.min() < -PSD_CLAMP:
+        raise NotPSD(f"eigenvalue {vals.min():.3e} below -{PSD_CLAMP:.0e}")
     out = np.clip(vals, 0.0, None)
     top = out.max(initial=0.0)
     if top > 0.0:

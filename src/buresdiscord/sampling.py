@@ -75,16 +75,16 @@ def random_direction(rng: np.random.Generator) -> np.ndarray:
     return _unit_vector(rng)
 
 
-def random_state(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """Full-rank random density matrix (normalized Ginibre G G^dag)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_state(rng: np.random.Generator) -> np.ndarray:
+    """Full-rank random two-qubit density matrix (normalized Ginibre G G^dag)."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
 
-def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-random unitary via QR with phase-fixed diagonal."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random single-qubit unitary via QR with phase-fixed diagonal."""
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(g)
     phases = np.diag(r).copy()
     phases /= np.abs(phases)

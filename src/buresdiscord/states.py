@@ -275,9 +275,9 @@ def local_unitary(rho, u_a, u_b) -> np.ndarray:
     return u_full @ rho @ u_full.conj().T
 
 
-def is_symmetric_family(params: XStateParams, tol: float = SYMMETRIC_TOL) -> bool:
-    """True when a = d and b = c within tol."""
-    return abs(params.a - params.d) <= tol and abs(params.b - params.c) <= tol
+def is_symmetric_family(params: XStateParams) -> bool:
+    """True when a = d and b = c within SYMMETRIC_TOL."""
+    return abs(params.a - params.d) <= SYMMETRIC_TOL and abs(params.b - params.c) <= SYMMETRIC_TOL
 
 
 def symmetric_to_bd(params: XStateParams) -> tuple:

@@ -3,13 +3,17 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from buresdiscord.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 WERNER_HALF = {"kind": "werner", "werner": {"w": 0.5}}
 GENERAL_X = {"kind": "x_state", "x_state": {
@@ -147,6 +151,14 @@ class TestCcsCommand:
         assert code == 0
         m = np.array(report["ccs_re"]) + 1j * np.array(report["ccs_im"])
         assert np.abs(m - np.diag(np.diag(m))).max() < 1e-10
+
+    def test_psi_without_theta_exit_2(self, tmp_path, capsys):
+        path = write_spec(tmp_path, WERNER_HALF)
+        code = main(["ccs", "--input", path, "--psi", "1.0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "InvalidParams"
 
     def test_emitted_matrix_is_density(self, tmp_path, capsys):
         path = write_spec(tmp_path, GENERAL_X)
@@ -299,9 +311,20 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_samples_below_one_exit_2(self, capsys, samples):
+        code = main(["verify", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "InvalidParams"
+
 
 @pytest.mark.parametrize("command,option", [
     ("discord", "--seed"), ("ccs", "--seed"), ("sweep", "--seed"), ("classical", "--seed"),
+    ("discord", "--grid-theta"), ("discord", "--grid-psi"), ("discord", "--refine-iters"),
+    ("ccs", "--grid-theta"), ("ccs", "--grid-psi"), ("ccs", "--refine-iters"),
+    ("sweep", "--grid-theta"), ("sweep", "--grid-psi"), ("sweep", "--refine-iters"),
     ("classical", "--grid-theta"), ("classical", "--grid-psi"), ("classical", "--refine-iters"),
 ])
 def test_options_the_command_never_reads_are_rejected(tmp_path, capsys, command, option):
@@ -315,9 +338,11 @@ def test_options_the_command_never_reads_are_rejected(tmp_path, capsys, command,
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):
         path = write_spec(tmp_path, WERNER_HALF)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "buresdiscord.cli", "discord", "--input", path],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert abs(report["fidelity"] - 0.9045084971874737) < 1e-12

@@ -6,9 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from buresdiscord.discord_core import (
-    GridConfig,
+    PSI_AXIS,
+    THETA_AXIS,
     MeasurementDirection,
     QsdEnsemble,
+    _objective_batch_factory,
     ccs_from_measurement,
     entropic_discord,
     fidelity_at_direction,
@@ -177,9 +179,20 @@ class TestBruteForce:
         res = max_fidelity_bruteforce(x_state(random_x_params(rng)))
         assert abs(res.discord - 2.0 * (1.0 - np.sqrt(res.fidelity))) < 1e-12
 
-    def test_grid_floor_enforced(self):
-        with pytest.raises(InvalidParams):
-            GridConfig(n_theta=8, n_phi=16)
+    def test_never_below_best_scan_cell(self):
+        # the refinement starts at the best scan cell and never loses it,
+        # so the reported maximum is at least F there, bit for bit
+        rng = np.random.default_rng(17)
+        arc = XStateParams(0.35, 0.15, 0.15, 0.35, 0.12 * np.exp(0.7j), 0.08 * np.exp(-0.3j))
+        states = ([x_state(random_x_params(rng)) for _ in range(4)]
+                  + [random_state(rng) for _ in range(4)]
+                  + [x_state(werner_params(w)) for w in (0.0, 0.3, 1.0)]
+                  + [x_state(arc)])
+        tg, pg = np.meshgrid(THETA_AXIS, PSI_AXIS, indexing="ij")
+        scan = np.stack([tg.ravel(), pg.ravel()], axis=1)
+        for rho in states:
+            best_cell = -_objective_batch_factory(rho)(scan).min()
+            assert max_fidelity_bruteforce(rho).fidelity >= best_cell
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)
