@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -459,15 +460,12 @@ def cmd_sweep(args) -> int:
     values, points = _sweep_points(spec)
 
     rows = [_sweep_row(v, p, methods) for v, p in zip(values, points)]
-    if args.out is None or args.out == "-":
-        writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
+    to_stdout = args.out is None or args.out == "-"
+    with (contextlib.nullcontext(sys.stdout) if to_stdout
+          else open(args.out, "w", encoding="utf-8", newline="")) as handle:
+        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
     return 0
 
 

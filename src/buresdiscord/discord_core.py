@@ -12,6 +12,10 @@ assembled from the top-two spectral projector of L(u), and the
 minimal-error discrimination quantities that make F(u) a two-state
 discrimination problem.  An entropy-based discord is included as an
 independent cross-check path.
+
+Both sphere objectives are even in u: L(-u) = -L(u) leaves F unchanged,
+and -u is the same measurement with its outcomes swapped.  So the scan
+evaluates only the upper hemisphere of its grid and mirrors the rest.
 """
 
 from __future__ import annotations
@@ -41,10 +45,14 @@ VANISHING_PRIOR = 1e-12
 FREE_FAMILY_MIN_SIN = 0.1
 
 # sphere-search resolution: a 64 x 128 scan of (theta, psi), then at most
-# REFINE_ITERS simplex iterations from the best five cells
+# REFINE_ITERS simplex iterations from the best five cells.  The scan is
+# antipodal (theta_{63-i} = pi - theta_i, psi_{j+64} = psi_j + pi), so its
+# lower half mirrors the evaluated upper half, SCAN_CELLS
 THETA_AXIS = np.linspace(0.0, np.pi, 64)
 PSI_AXIS = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
 REFINE_ITERS = 200
+SCAN_POINTS = np.stack(np.meshgrid(THETA_AXIS, PSI_AXIS, indexing="ij"), axis=-1).reshape(-1, 2)
+SCAN_CELLS = SCAN_POINTS[: SCAN_POINTS.shape[0] // 2]
 
 
 @dataclass(frozen=True)
@@ -168,14 +176,18 @@ def _directions(thetas: np.ndarray, psis: np.ndarray) -> np.ndarray:
 
 
 def _objective_batch_factory(rho):
-    """Vectorized map from (N, 2) angle rows to -F(u); shares sqrt(rho) work."""
+    """Vectorized map from (N, 2) angle rows to -F(u); shares sqrt(rho) work.
+
+    The three blocks L(x), L(y), L(z) are Hermitised once, so every
+    L(u) = u . (L(x), L(y), L(z)) is Hermitian by construction and the
+    whole batch is one (N, 3) @ (3, 16) product.
+    """
     root = psd_sqrt(rho)
-    base = np.stack([root @ np.kron(s, I2) @ root for s in PAULI])
+    blocks = np.stack([root @ np.kron(s, I2) @ root for s in PAULI])
+    base = ((blocks + np.conj(np.swapaxes(blocks, 1, 2))) / 2.0).reshape(3, 16)
 
     def neg_fidelity(tp: np.ndarray) -> np.ndarray:
-        us = _directions(tp[:, 0], tp[:, 1])
-        lam = np.einsum("ni,ijk->njk", us, base)
-        lam = (lam + np.conj(np.swapaxes(lam, 1, 2))) / 2.0
+        lam = (_directions(tp[:, 0], tp[:, 1]) @ base).reshape(-1, 4, 4)
         w = np.linalg.eigvalsh(lam)
         f = 0.5 * (1.0 - w.sum(axis=1) + 2.0 * (w[:, -1] + w[:, -2]))
         return -f
@@ -241,19 +253,29 @@ def _nelder_mead_batch(fn, starts: np.ndarray, steps):
     return verts[np.arange(k), best], vals[np.arange(k), best]
 
 
+def _mirror_scan(upper: np.ndarray) -> np.ndarray:
+    """The full 64 x 128 scan of an even objective from the values at
+    SCAN_CELLS: cell (63 - i, j) is the antipode of cell (i, j - 64)."""
+    upper = upper.reshape(-1, PSI_AXIS.size)
+    return np.concatenate([upper, np.roll(upper, PSI_AXIS.size // 2, axis=1)[::-1]])
+
+
 def _sphere_minimize(fn):
-    """Grid scan plus simplex refinement of a batched objective on the sphere.
+    """Grid scan plus simplex refinement of an even batched objective on
+    the sphere, fn(u) = fn(-u).
 
-    Returns (refined_points, refined_values, grid_values).  The first
-    simplex starts at the best grid cell, whose value it re-evaluates bit
-    for bit, and Nelder-Mead never drops its best vertex, so the refined
-    minimum is never above the grid minimum and needs no grid fallback.
+    Returns (refined_points, refined_values, grid_values).  fn is called
+    on the upper-hemisphere cells SCAN_CELLS only; the lower half of
+    grid_values is their mirror image.  A cell and its mirror tie
+    exactly, and the stable sort puts the evaluated cell first, so the
+    first simplex starts at an evaluated best cell, whose value it
+    re-evaluates bit for bit.  Nelder-Mead never drops its best vertex,
+    so the refined minimum is never above the scanned minimum and needs
+    no grid fallback.
     """
-    tg, pg = np.meshgrid(THETA_AXIS, PSI_AXIS, indexing="ij")
-    tp = np.stack([tg.ravel(), pg.ravel()], axis=1)
-    grid_vals = fn(tp).reshape(THETA_AXIS.size, PSI_AXIS.size)
+    grid_vals = _mirror_scan(fn(SCAN_CELLS))
 
-    starts = tp[np.argsort(grid_vals.ravel(), kind="stable")[:5]]
+    starts = SCAN_POINTS[np.argsort(grid_vals.ravel(), kind="stable")[:5]]
     steps = (0.5 * np.pi / THETA_AXIS.size, np.pi / PSI_AXIS.size)
     pts, vals = _nelder_mead_batch(fn, starts, steps)
     return pts, vals, grid_vals
@@ -303,10 +325,11 @@ def max_fidelity_bruteforce(rho) -> DiscordResult:
     """Maximize the fidelity objective over all measurement axes.
 
     The objective is even, F(u) = F(-u), for every state: L(-u) = -L(u)
-    and both sides equal (1 + l1 + l2 - l3 - l4)/2.  The scan still
-    covers the full sphere at a fixed 64 x 128 (theta, psi) resolution,
-    refines from the best five cells with at most 200 simplex
-    iterations, and reports every refined direction tying the maximum.
+    and both sides equal (1 + l1 + l2 - l3 - l4)/2.  So the fixed
+    64 x 128 (theta, psi) scan evaluates its upper half (4096 cells) and
+    mirrors the lower half; the search then refines from the best five
+    cells with at most 200 simplex iterations and reports every refined
+    direction tying the maximum.
     """
     rho = check_density_matrix(rho)
     fn = _objective_batch_factory(rho)
@@ -408,11 +431,10 @@ def _conditional_entropy_factory(rho):
     """Vectorized map from (N, 2) angles to the post-measurement average
     entropy sum_i p_i S(rho_B|i) for the axis-u measurement on A."""
     rho = np.asarray(rho, dtype=complex)
-    base = np.stack([rho @ np.kron(s, I2) for s in PAULI])
+    base = np.stack([rho @ np.kron(s, I2) for s in PAULI]).reshape(3, 16)
 
     def objective(tp: np.ndarray) -> np.ndarray:
-        us = _directions(tp[:, 0], tp[:, 1])
-        mixed = np.einsum("ni,ijk->njk", us, base)
+        mixed = (_directions(tp[:, 0], tp[:, 1]) @ base).reshape(-1, 4, 4)
         out = np.zeros(tp.shape[0])
         for sign in (1.0, -1.0):
             block = (rho[None, :, :] + sign * mixed) / 2.0
@@ -439,6 +461,8 @@ def entropic_discord(rho) -> tuple:
     classical_corr = S(rho_B) - min over axes of the average conditional
     entropy of B, found by the same fixed sphere search as
     max_fidelity_bruteforce; discord = mutual information - classical_corr.
+    The average entropy is even in u (-u is the same measurement with its
+    outcomes swapped), so the scan evaluates the upper hemisphere only.
     """
     rho = check_density_matrix(rho)
     fn = _conditional_entropy_factory(rho)

@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import buresdiscord.discord_core as discord_core
 from buresdiscord.discord_core import (
-    PSI_AXIS,
-    THETA_AXIS,
+    SCAN_CELLS,
+    SCAN_POINTS,
     MeasurementDirection,
     QsdEnsemble,
+    _conditional_entropy_factory,
+    _directions,
+    _mirror_scan,
     _objective_batch_factory,
     ccs_from_measurement,
     entropic_discord,
@@ -31,6 +35,7 @@ from buresdiscord.linalg import (
 )
 from buresdiscord.sampling import (
     random_classical_params,
+    random_degenerate_params,
     random_direction,
     random_state,
     random_x_params,
@@ -107,6 +112,13 @@ class TestObjective:
             f2 = fidelity_at_direction(rho, MeasurementDirection(tuple(-u)))
             assert abs(f1 - f2) < 1e-11
 
+    def test_batch_matches_single_direction(self):
+        rng = np.random.default_rng(20)
+        for rho in [random_state(rng), x_state(random_degenerate_params(rng, kind="bc"))]:
+            tp = SCAN_POINTS[rng.choice(SCAN_POINTS.shape[0], 40, replace=False)]
+            single = [fidelity_at_direction(rho, MeasurementDirection.from_angles(t, p)) for t, p in tp]
+            assert_allclose(-_objective_batch_factory(rho)(tp), single, rtol=0.0, atol=1e-13)
+
     def test_at_least_half(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
@@ -180,19 +192,32 @@ class TestBruteForce:
         assert abs(res.discord - 2.0 * (1.0 - np.sqrt(res.fidelity))) < 1e-12
 
     def test_never_below_best_scan_cell(self):
-        # the refinement starts at the best scan cell and never loses it,
-        # so the reported maximum is at least F there, bit for bit
+        # the refinement starts at the best evaluated scan cell and never
+        # loses it, so the reported maximum is at least F there, bit for bit
         rng = np.random.default_rng(17)
         arc = XStateParams(0.35, 0.15, 0.15, 0.35, 0.12 * np.exp(0.7j), 0.08 * np.exp(-0.3j))
         states = ([x_state(random_x_params(rng)) for _ in range(4)]
                   + [random_state(rng) for _ in range(4)]
                   + [x_state(werner_params(w)) for w in (0.0, 0.3, 1.0)]
                   + [x_state(arc)])
-        tg, pg = np.meshgrid(THETA_AXIS, PSI_AXIS, indexing="ij")
-        scan = np.stack([tg.ravel(), pg.ravel()], axis=1)
         for rho in states:
-            best_cell = -_objective_batch_factory(rho)(scan).min()
+            best_cell = -_objective_batch_factory(rho)(SCAN_CELLS).min()
             assert max_fidelity_bruteforce(rho).fidelity >= best_cell
+
+    def test_scan_evaluates_the_upper_half_only(self, monkeypatch):
+        batches = []
+
+        def counting_factory(rho):
+            fn = _objective_batch_factory(rho)
+
+            def counted(tp):
+                batches.append(tp.shape[0])
+                return fn(tp)
+            return counted
+
+        monkeypatch.setattr(discord_core, "_objective_batch_factory", counting_factory)
+        max_fidelity_bruteforce(x_state(random_x_params(np.random.default_rng(18))))
+        assert batches[0] == 4096 == SCAN_POINTS.shape[0] // 2
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)
@@ -201,6 +226,25 @@ class TestBruteForce:
         b = max_fidelity_bruteforce(rho)
         assert a.fidelity == b.fidelity
         assert a.optimal_directions == b.optimal_directions
+
+
+class TestMirroredScan:
+    def test_grid_is_antipodal(self):
+        u = _directions(SCAN_POINTS[:, 0], SCAN_POINTS[:, 1]).reshape(64, 128, 3)
+        assert_allclose(u[::-1], -np.roll(u, 64, axis=1), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("factory", [_objective_batch_factory, _conditional_entropy_factory])
+    def test_mirrored_half_matches_direct_scan(self, factory):
+        # both objectives are even in u, so the lower half of a direct full
+        # scan equals the mirror image of the upper half
+        rng = np.random.default_rng(19)
+        states = ([x_state(random_x_params(rng)) for _ in range(3)]
+                  + [random_state(rng) for _ in range(3)]
+                  + [x_state(random_degenerate_params(rng, kind="bc")) for _ in range(3)])
+        for rho in states:
+            fn = factory(rho)
+            direct = fn(SCAN_POINTS).reshape(64, 128)
+            assert_allclose(_mirror_scan(fn(SCAN_CELLS)), direct, rtol=0.0, atol=1e-14)
 
 
 class TestCcs:
