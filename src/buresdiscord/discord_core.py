@@ -6,7 +6,7 @@ for a measurement axis u on qubit A, the fidelity objective
     F(u) = (1 - tr L(u) + 2 (l1 + l2)) / 2
 
 with l1 >= l2 >= ... the eigenvalues of L(u), its maximum over the
-Bloch sphere (computed by grid scan plus simplex refinement, the
+Bloch sphere (computed by grid scan plus compass-search refinement, the
 reference oracle for every closed form), the closest A-classical state
 assembled from the top-two spectral projector of L(u), and the
 minimal-error discrimination quantities that make F(u) a two-state
@@ -45,7 +45,7 @@ VANISHING_PRIOR = 1e-12
 FREE_FAMILY_MIN_SIN = 0.1
 
 # sphere-search resolution: a 64 x 128 scan of (theta, psi), then at most
-# REFINE_ITERS simplex iterations from the best five cells.  The scan is
+# REFINE_ITERS compass-search iterations from the best five cells.  The scan is
 # antipodal (theta_{63-i} = pi - theta_i, psi_{j+64} = psi_j + pi), so its
 # lower half mirrors the evaluated upper half, SCAN_CELLS
 THETA_AXIS = np.linspace(0.0, np.pi, 64)
@@ -195,62 +195,37 @@ def _objective_batch_factory(rho):
     return neg_fidelity
 
 
-def _nelder_mead_batch(fn, starts: np.ndarray, steps):
-    """Minimize fn over 2-d points, one simplex per start, all in lockstep.
+def _compass_batch(fn, starts: np.ndarray, steps):
+    """Minimize fn over 2-d points by compass search, one search per start,
+    all in lockstep.
 
-    fn maps (N, 2) -> (N,).  Stops after REFINE_ITERS iterations, or once
-    every simplex has an objective spread below 1e-12 or a diameter below
-    1e-10.  Returns (points, values) with the best vertex of each simplex.
+    fn maps (N, 2) -> (N,).  The first call re-evaluates the starts; each
+    later call evaluates the four moves +-h_theta, +-h_psi of every live
+    start.  A start moves to its best trial point only when that point is
+    strictly lower, otherwise both of its steps halve, so its value never
+    rises.  A start drops out once its four trial values all lie within
+    1e-12 of its value or its larger step is below 1e-10; the search
+    stops after REFINE_ITERS trial calls.  Returns (points, values).
     """
-    k = starts.shape[0]
-    verts = np.stack([starts,
-                      starts + np.array([steps[0], 0.0]),
-                      starts + np.array([0.0, steps[1]])], axis=1)
-    vals = fn(verts.reshape(-1, 2)).reshape(k, 3)
-
+    pts = np.array(starts, dtype=float)
+    vals = fn(pts)
+    h = np.tile(np.asarray(steps, dtype=float), (pts.shape[0], 1))
+    moves = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    live = np.arange(pts.shape[0])
     for _ in range(REFINE_ITERS):
-        order = np.argsort(vals, axis=1)
-        vals = np.take_along_axis(vals, order, axis=1)
-        verts = np.take_along_axis(verts, order[:, :, None], axis=1)
-
-        spread = vals[:, 2] - vals[:, 0]
-        diam = np.max(np.abs(verts - verts[:, :1]), axis=(1, 2))
-        if np.all((spread < 1e-12) | (diam < 1e-10)):
+        if live.size == 0:
             break
-
-        centroid = verts[:, :2].mean(axis=1)
-        worst = verts[:, 2]
-        xr = 2.0 * centroid - worst
-        xe = 3.0 * centroid - 2.0 * worst
-        xoc = 1.5 * centroid - 0.5 * worst
-        xic = 0.5 * centroid + 0.5 * worst
-        fr, fe, foc, fic = fn(np.concatenate([xr, xe, xoc, xic])).reshape(4, k)
-
-        f0, f1, f2 = vals[:, 0], vals[:, 1], vals[:, 2]
-        new_vert = worst.copy()
-        new_val = f2.copy()
-
-        better_than_best = fr < f0
-        expand = better_than_best & (fe < fr)
-        reflect = (fr < f1) & ~expand
-        out_contract = ~better_than_best & (fr >= f1) & (fr < f2) & (foc <= fr)
-        in_contract = (fr >= f2) & (fic < f2)
-        shrink = ~(expand | reflect | out_contract | in_contract)
-
-        for mask, pts, fv in ((expand, xe, fe), (reflect, xr, fr),
-                              (out_contract, xoc, foc), (in_contract, xic, fic)):
-            new_vert[mask] = pts[mask]
-            new_val[mask] = fv[mask]
-        verts[:, 2] = new_vert
-        vals[:, 2] = new_val
-
-        if np.any(shrink):
-            idx = np.where(shrink)[0]
-            verts[idx, 1:] = verts[idx, :1] + 0.5 * (verts[idx, 1:] - verts[idx, :1])
-            vals[idx, 1:] = fn(verts[idx, 1:].reshape(-1, 2)).reshape(-1, 2)
-
-    best = np.argmin(vals, axis=1)
-    return verts[np.arange(k), best], vals[np.arange(k), best]
+        trials = pts[live, None] + moves * h[live, None]
+        trial_vals = fn(trials.reshape(-1, 2)).reshape(-1, 4)
+        pick = np.argmin(trial_vals, axis=1)
+        best = trial_vals[np.arange(live.size), pick]
+        flat = np.all(np.abs(trial_vals - vals[live, None]) <= 1e-12, axis=1)
+        moved = best < vals[live]
+        pts[live[moved]] = trials[moved, pick[moved]]
+        vals[live[moved]] = best[moved]
+        h[live[~moved]] /= 2.0
+        live = live[~flat & (h[live].max(axis=1) >= 1e-10)]
+    return pts, vals
 
 
 def _mirror_scan(upper: np.ndarray) -> np.ndarray:
@@ -261,32 +236,24 @@ def _mirror_scan(upper: np.ndarray) -> np.ndarray:
 
 
 def _sphere_minimize(fn):
-    """Grid scan plus simplex refinement of an even batched objective on
+    """Grid scan plus compass refinement of an even batched objective on
     the sphere, fn(u) = fn(-u).
 
     Returns (refined_points, refined_values, grid_values).  fn is called
     on the upper-hemisphere cells SCAN_CELLS only; the lower half of
     grid_values is their mirror image.  A cell and its mirror tie
     exactly, and the stable sort puts the evaluated cell first, so the
-    first simplex starts at an evaluated best cell, whose value it
-    re-evaluates bit for bit.  Nelder-Mead never drops its best vertex,
-    so the refined minimum is never above the scanned minimum and needs
-    no grid fallback.
+    first search starts at an evaluated best cell, whose value it
+    re-evaluates bit for bit.  A compass search moves only to strictly
+    lower points, so the refined minimum is never above the scanned
+    minimum and needs no grid fallback.
     """
     grid_vals = _mirror_scan(fn(SCAN_CELLS))
 
     starts = SCAN_POINTS[np.argsort(grid_vals.ravel(), kind="stable")[:5]]
     steps = (0.5 * np.pi / THETA_AXIS.size, np.pi / PSI_AXIS.size)
-    pts, vals = _nelder_mead_batch(fn, starts, steps)
+    pts, vals = _compass_batch(fn, starts, steps)
     return pts, vals, grid_vals
-
-
-def _canonical_angles(theta: float, psi: float) -> tuple:
-    """Fold arbitrary real simplex angles into theta in [0, pi], psi in [0, 2 pi)."""
-    u = _directions(np.array([theta]), np.array([psi]))[0]
-    t = float(np.arccos(np.clip(u[2], -1.0, 1.0)))
-    p = float(np.arctan2(u[1], u[0])) % (2.0 * np.pi)
-    return t, p
 
 
 def _cluster_optima(pts: np.ndarray, vals: np.ndarray, best_val: float) -> list:
@@ -295,8 +262,7 @@ def _cluster_optima(pts: np.ndarray, vals: np.ndarray, best_val: float) -> list:
     for tp, v in zip(pts, vals):
         if v > best_val + OPTIMUM_CLUSTER_TOL:
             continue
-        t, p = _canonical_angles(tp[0], tp[1])
-        d = MeasurementDirection.from_angles(t, p)
+        d = MeasurementDirection.from_angles(*tp)
         if all(np.linalg.norm(np.subtract(d.u, e.u)) > 1e-5 for e in chosen):
             chosen.append(d)
     chosen.sort(key=lambda m: (round(m.theta, 9), round(m.psi, 9)))
@@ -304,19 +270,26 @@ def _cluster_optima(pts: np.ndarray, vals: np.ndarray, best_val: float) -> list:
 
 
 def _detect_free_family(fn, grid_vals, best_val, best_tp):
-    """Classify continuous optimum families: a psi circle, a theta arc, or
-    the whole sphere.  The grid decides the whole-sphere case; the circle
-    and arc are re-evaluated through the refined optimum, since grid rows
-    sit slightly off it."""
-    if np.all(grid_vals >= best_val - OPTIMUM_CLUSTER_TOL):
+    """Classify continuous minimum families of fn: a psi circle, a theta
+    arc, or the whole sphere.  The grid decides the whole-sphere case; the
+    circle and arc are re-evaluated through the refined minimum, since
+    grid rows sit slightly off it.  At a pole psi is arbitrary, so the arc
+    is found by a compass search in psi along scan row 1, next to the
+    pole, from the best cell of that row."""
+    if np.all(grid_vals <= best_val + OPTIMUM_CLUSTER_TOL):
         return "free_sphere"
-    theta_opt, psi_opt = _canonical_angles(best_tp[0], best_tp[1])
-    if np.sin(theta_opt) >= FREE_FAMILY_MIN_SIN:
-        circle = -fn(np.column_stack([np.full_like(PSI_AXIS, theta_opt), PSI_AXIS]))
-        if np.all(circle >= best_val - OPTIMUM_CLUSTER_TOL):
+    best = MeasurementDirection.from_angles(*best_tp)
+    psi_opt = best.psi
+    if np.sin(best.theta) >= FREE_FAMILY_MIN_SIN:
+        circle = fn(np.column_stack([np.full_like(PSI_AXIS, best.theta), PSI_AXIS]))
+        if np.all(circle <= best_val + OPTIMUM_CLUSTER_TOL):
             return "free_psi"
-    arc = -fn(np.column_stack([THETA_AXIS, np.full_like(THETA_AXIS, psi_opt)]))
-    if np.all(arc >= best_val - OPTIMUM_CLUSTER_TOL):
+    else:
+        start = np.array([[THETA_AXIS[1], PSI_AXIS[np.argmin(grid_vals[1])]]])
+        pts, _ = _compass_batch(fn, start, (0.0, np.pi / PSI_AXIS.size))
+        psi_opt = pts[0, 1]
+    arc = fn(np.column_stack([THETA_AXIS, np.full_like(THETA_AXIS, psi_opt)]))
+    if np.all(arc <= best_val + OPTIMUM_CLUSTER_TOL):
         return "free_theta"
     return None
 
@@ -328,15 +301,15 @@ def max_fidelity_bruteforce(rho) -> DiscordResult:
     and both sides equal (1 + l1 + l2 - l3 - l4)/2.  So the fixed
     64 x 128 (theta, psi) scan evaluates its upper half (4096 cells) and
     mirrors the lower half; the search then refines from the best five
-    cells with at most 200 simplex iterations and reports every refined
-    direction tying the maximum.
+    cells with at most 200 compass-search iterations and reports every
+    refined direction tying the maximum.
     """
     rho = check_density_matrix(rho)
     fn = _objective_batch_factory(rho)
     pts, vals, grid_vals = _sphere_minimize(fn)
     best = int(np.argmin(vals))
     directions = _cluster_optima(pts, vals, vals[best])
-    family = _detect_free_family(fn, -grid_vals, -vals[best], pts[best])
+    family = _detect_free_family(fn, grid_vals, vals[best], pts[best])
     return make_result(-vals[best], directions, "bruteforce", family)
 
 

@@ -11,6 +11,7 @@ from buresdiscord.discord_core import (
     SCAN_POINTS,
     MeasurementDirection,
     QsdEnsemble,
+    _compass_batch,
     _conditional_entropy_factory,
     _directions,
     _mirror_scan,
@@ -24,6 +25,7 @@ from buresdiscord.discord_core import (
     max_fidelity_bruteforce,
     mutual_information,
 )
+from buresdiscord.closed_forms import symmetric_fidelity
 from buresdiscord.errors import InvalidParams
 from buresdiscord.linalg import (
     I4,
@@ -38,11 +40,34 @@ from buresdiscord.sampling import (
     random_degenerate_params,
     random_direction,
     random_state,
+    random_symmetric_params,
     random_x_params,
 )
 from buresdiscord.states import XStateParams, classical_state, werner_params, x_state
 
 BELL = x_state(XStateParams(0.5, 0.0, 0.0, 0.5, y=0.5))
+
+
+def _fixed_symmetric_params(rng):
+    """An a=d, b=c state whose optimal axis is isolated (axial or equatorial)."""
+    while True:
+        p = random_symmetric_params(rng)
+        if symmetric_fidelity(p)[1].optimal_family == "fixed":
+            return p
+
+
+def _boundary_arc_params(rng):
+    """An a=d, b=c state on the boundary |a - b| = |x| + |y| with x y != 0
+    and random phases: its optima form a theta arc through the poles."""
+    while True:
+        a = rng.uniform(0.05, 0.45)
+        b = 0.5 - a
+        gap = abs(a - b)
+        ax = rng.uniform(0.2, 0.8) * gap
+        ay = gap - ax
+        if gap >= 0.05 and ax <= b and ay <= a:
+            phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))
+            return XStateParams(a, b, b, a, ax * phases[0], ay * phases[1])
 
 
 class TestMeasurementDirection:
@@ -219,6 +244,38 @@ class TestBruteForce:
         max_fidelity_bruteforce(x_state(random_x_params(np.random.default_rng(18))))
         assert batches[0] == 4096 == SCAN_POINTS.shape[0] // 2
 
+    def test_free_theta_arc_through_a_pole(self):
+        # the refined optimum of a boundary state lands on a pole, where psi
+        # says nothing about where the arc runs
+        found = XStateParams(0.3, 0.2, 0.2, 0.3, x=0.05, y=0.05)
+        assert max_fidelity_bruteforce(x_state(found)).degenerate_family == "free_theta"
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            p = _boundary_arc_params(rng)
+            assert symmetric_fidelity(p)[1].optimal_family == "free_theta"
+            assert max_fidelity_bruteforce(x_state(p)).degenerate_family == "free_theta"
+
+    def test_isolated_optima_get_no_family(self):
+        rng = np.random.default_rng(24)
+        states = ([x_state(_fixed_symmetric_params(rng)) for _ in range(10)]
+                  + [x_state(random_x_params(rng)) for _ in range(5)]
+                  + [random_state(rng) for _ in range(5)]
+                  + [x_state(random_degenerate_params(rng, kind="bc")) for _ in range(5)]
+                  + [classical_state(random_classical_params(rng)) for _ in range(5)])
+        for rho in states:
+            assert max_fidelity_bruteforce(rho).degenerate_family is None
+
+    def test_axes_match_the_symmetric_closed_form(self):
+        # every reported axis of an isolated a=d, b=c optimum lies within
+        # 1e-5 (the golden CLI axis tolerance) of the exact axis, up to sign
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            p = _fixed_symmetric_params(rng)
+            exact = np.asarray(symmetric_fidelity(p)[0].optimal_directions[0].u)
+            for d in max_fidelity_bruteforce(x_state(p)).optimal_directions:
+                u = np.asarray(d.u)
+                assert min(np.linalg.norm(u - exact), np.linalg.norm(u + exact)) < 1e-5
+
     def test_deterministic(self):
         rng = np.random.default_rng(15)
         rho = x_state(random_x_params(rng))
@@ -226,6 +283,42 @@ class TestBruteForce:
         b = max_fidelity_bruteforce(rho)
         assert a.fidelity == b.fidelity
         assert a.optimal_directions == b.optimal_directions
+
+
+class TestCompassSearch:
+    def test_rotated_quadratic(self):
+        # condition number 20, minimum off the starting points
+        centre = np.array([0.3, -0.2])
+        rot = np.array([[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]])
+        hess = rot @ np.diag([1.0, 20.0]) @ rot.T
+
+        def quadratic(p):
+            d = p - centre
+            return np.einsum("ni,ij,nj->n", d, hess, d)
+
+        starts = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 0.5]])
+        pts, vals = _compass_batch(quadratic, starts, (0.1, 0.1))
+        assert np.abs(pts - centre).max() < 1e-5
+        assert_allclose(vals, quadratic(pts), rtol=0.0, atol=0.0)
+
+    def test_constant_objective_costs_one_trial_batch(self):
+        batches = []
+
+        def constant(p):
+            batches.append(p.shape[0])
+            return np.full(p.shape[0], 0.7)
+
+        starts = np.array([[0.1, 0.2], [1.0, 3.0], [2.0, 5.0]])
+        pts, _ = _compass_batch(constant, starts, (0.1, 0.1))
+        assert batches == [3, 12]
+        assert np.array_equal(pts, starts)
+
+    def test_never_above_its_start(self):
+        rng = np.random.default_rng(22)
+        fn = _objective_batch_factory(random_state(rng))
+        starts = np.column_stack([rng.uniform(0.0, np.pi, 20), rng.uniform(0.0, 2.0 * np.pi, 20)])
+        _, vals = _compass_batch(fn, starts, (0.3, 0.3))
+        assert np.all(vals <= fn(starts))
 
 
 class TestMirroredScan:
