@@ -45,9 +45,9 @@ VANISHING_PRIOR = 1e-12
 FREE_FAMILY_MIN_SIN = 0.1
 
 # sphere-search resolution: a 64 x 128 scan of (theta, psi), then at most
-# REFINE_ITERS compass-search iterations from the best five cells.  The scan is
-# antipodal (theta_{63-i} = pi - theta_i, psi_{j+64} = psi_j + pi), so its
-# lower half mirrors the evaluated upper half, SCAN_CELLS
+# REFINE_ITERS compass-search iterations from the best five cells.  The
+# scan is antipodal (theta_{63-i} = pi - theta_i, psi_{j+64} = psi_j + pi),
+# so its lower half mirrors the evaluated upper half, SCAN_CELLS
 THETA_AXIS = np.linspace(0.0, np.pi, 64)
 PSI_AXIS = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
 REFINE_ITERS = 200
