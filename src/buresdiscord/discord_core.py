@@ -279,8 +279,8 @@ def _detect_free_family(fn, grid_vals, best_val, best_tp):
     if np.all(grid_vals <= best_val + OPTIMUM_CLUSTER_TOL):
         return "free_sphere"
     best = MeasurementDirection.from_angles(*best_tp)
-    psi_opt = best.psi
     if np.sin(best.theta) >= FREE_FAMILY_MIN_SIN:
+        psi_opt = best.psi
         circle = fn(np.column_stack([np.full_like(PSI_AXIS, best.theta), PSI_AXIS]))
         if np.all(circle <= best_val + OPTIMUM_CLUSTER_TOL):
             return "free_psi"
