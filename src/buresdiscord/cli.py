@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Reads states from JSON, dispatches to closed forms or the brute-force
-engine, runs the verification suite, and emits JSON or CSV results.
+Reads states from JSON, calls the library (bures_discord for every
+maximal fidelity) and formats its results as JSON or CSV.  The verify
+subcommand runs the self-check suites.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input
 (machine-readable error JSON on stderr), 3 I/O failure.
@@ -10,18 +11,19 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_forms import (
+    DISCORD_METHODS,
+    bures_discord,
     char_poly_coeffs,
     classical_correlation_symmetric,
-    closed_form_discord,
     symmetric_fidelity,
     x_candidate_discord,
     x_fidelity_equatorial,
@@ -118,15 +120,14 @@ def _direction_entry(direction: MeasurementDirection) -> dict:
 
 
 def _write_text(text: str, out_path: str | None) -> None:
+    """Write text, newline-terminated, to stdout or to out_path unchanged."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
-    with open(out_path, "w", encoding="utf-8") as handle:
+    with open(out_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
-        if not text.endswith("\n"):
-            handle.write("\n")
 
 
 def _error_exit(kind: str, message: str, code: int) -> int:
@@ -222,70 +223,20 @@ def _try_x_params(rho: np.ndarray) -> XStateParams | None:
 # discord subcommand
 
 
-# dispatch trail entry of each closed-form source under --method auto
-_AUTO_TRAIL = {
-    "symmetric_fidelity": "symmetric_family->symmetric_fidelity",
-    "degenerate_fidelity": "degenerate_preconditions->degenerate_fidelity",
-}
-
-
-def _run_discord(resolved: ResolvedState, method: str) -> dict:
-    params = resolved.params
-    dispatch: list = []
-    candidate_gap = None
-    extra: dict = {}
-
-    if method in ("closed", "candidates") and params is None:
-        raise InvalidParams(f"method={method} requires an X-shaped state")
-
-    if method == "bruteforce" or (method == "auto" and params is None):
-        dispatch.append("bruteforce")
-        result = max_fidelity_bruteforce(resolved.rho)
-    elif method == "candidates":
-        dispatch.append("candidates")
-        result, breakdown = x_candidate_discord(params)
-        extra["candidates"] = asdict(breakdown)
-    else:
-        try:
-            result, source, detail = closed_form_discord(params)
-        except PreconditionNotMet:
-            if method == "closed":
-                raise
-            dispatch.append("general->candidates+bruteforce")
-            cand_result, breakdown = x_candidate_discord(params)
-            extra["candidates"] = asdict(breakdown)
-            result = max_fidelity_bruteforce(resolved.rho)
-            candidate_gap = result.fidelity - cand_result.fidelity
-        else:
-            dispatch.append(f"closed->{source}" if method == "closed" else _AUTO_TRAIL[source])
-            if source == "symmetric_fidelity":
-                extra["symmetric_branch"] = asdict(detail)
-            else:
-                m_opt, regime = detail
-                extra["degenerate"] = {"m_opt": m_opt, "regime": regime}
-
-    if candidate_gap is None and params is not None and result.method != "x_candidates":
-        cand_result, _ = x_candidate_discord(params)
-        candidate_gap = result.fidelity - cand_result.fidelity
-
+def cmd_discord(args) -> int:
+    resolved = resolve_state(_read_input(args.input))
+    result, trail, extra = bures_discord(resolved.rho, args.method)
     report = {
         "input_kind": resolved.kind,
-        "method_requested": method,
+        "method_requested": args.method,
         "method": result.method,
         "fidelity": result.fidelity,
         "discord": result.discord,
         "optimal_directions": [_direction_entry(d) for d in result.optimal_directions],
         "degenerate_family": result.degenerate_family,
-        "dispatch": dispatch,
-        "candidate_gap": candidate_gap,
+        "dispatch": trail,
+        **extra,
     }
-    report.update(extra)
-    return report
-
-
-def cmd_discord(args) -> int:
-    resolved = resolve_state(_read_input(args.input))
-    report = _run_discord(resolved, args.method)
     _write_text(_dumps(report), args.out)
     return 0
 
@@ -302,10 +253,10 @@ def cmd_ccs(args) -> int:
         direction = MeasurementDirection.from_angles(args.theta, args.psi or 0.0)
         source = "override"
     else:
-        report = _run_discord(resolved, "auto")
-        entry = report["optimal_directions"][0]
-        direction = MeasurementDirection.from_angles(entry["theta"], entry["psi"])
-        source = report["method"]
+        result, _, _ = bures_discord(resolved.rho)
+        best = result.optimal_directions[0]
+        direction = MeasurementDirection.from_angles(best.theta, best.psi)
+        source = result.method
 
     ccs = ccs_from_measurement(resolved.rho, direction)
     check = max_fidelity_bruteforce(ccs.state)
@@ -412,21 +363,12 @@ def _line_param_values(start_fields: dict, stop_fields: dict, ts: np.ndarray) ->
 
 def _sweep_row(param_value: float, params: XStateParams, methods: set) -> dict:
     rho = x_state(params)
-    if "bruteforce" in methods:
-        result = max_fidelity_bruteforce(rho)
-    elif "closed" in methods:
-        try:
-            result, _, _ = closed_form_discord(params)
-        except PreconditionNotMet:
-            result, _ = x_candidate_discord(params)
-    else:
-        result, _ = x_candidate_discord(params)
-
-    if result.method != "x_candidates":
-        cand_result, _ = x_candidate_discord(params)
-        gap = _fmt(result.fidelity - cand_result.fidelity)
-    else:
-        gap = ""
+    method = next(m for m in ("bruteforce", "closed", "candidates") if m in methods)
+    try:
+        result, _, extra = bures_discord(rho, method)
+    except PreconditionNotMet:  # sweep's closed falls back to the candidates
+        result, _, extra = bures_discord(rho, "candidates")
+    gap = extra["candidate_gap"]
 
     classical = ""
     if is_symmetric_family(params):
@@ -443,7 +385,7 @@ def _sweep_row(param_value: float, params: XStateParams, methods: set) -> dict:
         "theta_opt": _fmt(best.theta),
         "psi_opt": _fmt(best.psi),
         "method": result.method,
-        "candidate_gap": gap,
+        "candidate_gap": "" if gap is None else _fmt(gap),
         "classical_corr": classical,
         "entropic_discord": entropic,
     }
@@ -459,13 +401,11 @@ def cmd_sweep(args) -> int:
         raise InvalidParams("sweep needs at least one of bruteforce/closed/candidates")
     values, points = _sweep_points(spec)
 
-    rows = [_sweep_row(v, p, methods) for v, p in zip(values, points)]
-    to_stdout = args.out is None or args.out == "-"
-    with (contextlib.nullcontext(sys.stdout) if to_stdout
-          else open(args.out, "w", encoding="utf-8", newline="")) as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(_sweep_row(v, p, methods) for v, p in zip(values, points))
+    _write_text(buffer.getvalue(), args.out)
     return 0
 
 
@@ -624,8 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_discord = sub.add_parser("discord", help="maximal fidelity and discord")
     add_common(p_discord)
-    p_discord.add_argument("--method", default="auto",
-                           choices=["auto", "bruteforce", "closed", "candidates"])
+    p_discord.add_argument("--method", default="auto", choices=DISCORD_METHODS)
     p_discord.set_defaults(func=cmd_discord)
 
     p_ccs = sub.add_parser("ccs", help="closest classical state")

@@ -10,28 +10,38 @@ z axis and an equatorial axis with tuned azimuth) give closed-form
 fidelities whose maximum lower-bounds the true optimum, exactly
 attained whenever the optimal axis is axial or equatorial.  A rank-two
 subfamily admits its own closed form, and the characteristic polynomial
-of L(u) is available in coefficient form for any axis.
+of L(u) is available in coefficient form for any axis.  bures_discord
+applies these in the paper's order and falls back to the brute-force
+sphere search for every other state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .discord_core import MeasurementDirection, ccs_from_measurement, make_result
-from .errors import InvalidParams, NotSymmetricFamily, PreconditionNotMet
+from .discord_core import (
+    MeasurementDirection,
+    ccs_from_measurement,
+    make_result,
+    max_fidelity_bruteforce,
+)
+from .errors import InvalidParams, PreconditionNotMet
 from .linalg import I4, PAULI, fidelity, herm_eig
 from .states import (
     XStateParams,
     bd_probs,
     is_symmetric_family,
+    require_symmetric_family,
     symmetric_to_bd,
+    x_params_from_matrix,
     x_state,
 )
 
 BRANCH_TOL = 1e-12
 DEGENERATE_PRECONDITION_TOL = 1e-10
+DISCORD_METHODS = ("auto", "bruteforce", "closed", "candidates")
 
 
 def _arg_or_zero(z: complex) -> float:
@@ -61,14 +71,6 @@ class SymmetricBranch:
     optimal_family: str
 
 
-def _require_symmetric(params: XStateParams) -> None:
-    if not is_symmetric_family(params):
-        raise NotSymmetricFamily(
-            f"requires a = d and b = c; got a - d = {params.a - params.d!r}, "
-            f"b - c = {params.b - params.c!r}"
-        )
-
-
 def symmetric_fidelity(params: XStateParams) -> tuple:
     """Exact maximal fidelity for the a=d, b=c family.
 
@@ -78,7 +80,7 @@ def symmetric_fidelity(params: XStateParams) -> tuple:
     coincide and the optima form a theta arc (a full sphere when
     |x y| = 0).  Returns (DiscordResult, SymmetricBranch).
     """
-    _require_symmetric(params)
+    require_symmetric_family(params)
     a, b = params.a, params.b
     ax, ay = abs(params.x), abs(params.y)
     xy_zero = ax * ay <= BRANCH_TOL
@@ -150,7 +152,7 @@ def bd_transport(params: XStateParams) -> BdTransport:
         q_m = 1/2 + (2 sqrt(pn pk) - 2 sqrt(p0 pm) + c_m)
                     / (4 sqrt(pn pk) + 4 sqrt(p0 pm) + 2).
     """
-    _require_symmetric(params)
+    require_symmetric_family(params)
     triple = symmetric_to_bd(params)
     probs = bd_probs(triple)
 
@@ -224,7 +226,7 @@ def symmetric_ccs(params: XStateParams, r: float | None = None) -> SymmetricCcs:
     Otherwise the state is built by the measurement-projector
     construction at the optimal axis and r is ignored.
     """
-    _require_symmetric(params)
+    require_symmetric_family(params)
     rho = x_state(params)
     result, _branch_info = symmetric_fidelity(params)
     transport = bd_transport(params)
@@ -256,7 +258,7 @@ def classical_correlation_symmetric(params: XStateParams) -> tuple:
     the squared Bures distance from the Bell-diagonal frame of the
     state to its closest product state I/4.  Returns (C, I/4).
     """
-    _require_symmetric(params)
+    require_symmetric_family(params)
     a, b = params.a, params.b
     ax, ay = abs(params.x), abs(params.y)
     total = (np.sqrt(max(a + ay, 0.0)) + np.sqrt(max(a - ay, 0.0))
@@ -312,24 +314,16 @@ def x_ccs_z(params: XStateParams) -> np.ndarray:
     diagonal is normalized.  Valid for any X-state, full rank or not.
     """
     rho = x_state(params)
-    a, b, c, d = params.a, params.b, params.c, params.d
     diag = np.zeros(4)
-    for vec in (_axial_block_vector(b + c, params.x, +1, outer=False),
-                _axial_block_vector(a + d, params.y, +1, outer=True)):
-        weight = np.real(vec.conj() @ rho @ vec)
-        if weight < 1e-15:
-            continue
-        image = rho @ vec
-        diag[0] += abs(image[0]) ** 2 / weight
-        diag[1] += abs(image[1]) ** 2 / weight
-    for vec in (_axial_block_vector(b + c, params.x, -1, outer=False),
-                _axial_block_vector(a + d, params.y, -1, outer=True)):
-        weight = np.real(vec.conj() @ rho @ vec)
-        if weight < 1e-15:
-            continue
-        image = rho @ vec
-        diag[2] += abs(image[2]) ** 2 / weight
-        diag[3] += abs(image[3]) ** 2 / weight
+    for sign, rows in ((+1, (0, 1)), (-1, (2, 3))):
+        for vec in (_axial_block_vector(params.b + params.c, params.x, sign, outer=False),
+                    _axial_block_vector(params.a + params.d, params.y, sign, outer=True)):
+            weight = np.real(vec.conj() @ rho @ vec)
+            if weight < 1e-15:
+                continue
+            image = rho @ vec
+            for row in rows:
+                diag[row] += abs(image[row]) ** 2 / weight
     total = diag.sum()
     if total <= 0.0:
         raise InvalidParams("state has no weight in either measurement outcome")
@@ -388,9 +382,11 @@ class CandidateBreakdown:
 def x_candidate_discord(params: XStateParams) -> tuple:
     """Best of the two candidate axes for a general X-state.
 
-    Returns (DiscordResult, CandidateBreakdown).  The fidelity is a
-    lower bound on the sphere maximum (the reported discord an upper
-    bound on the true discord); it is exact whenever the optimal
+    Returns (DiscordResult, CandidateBreakdown).  When the two values
+    agree within BRANCH_TOL both axes are listed, z first, with no
+    free-family tag.  The fidelity is a lower bound on the sphere
+    maximum (the reported discord an upper bound on the true discord);
+    it is exact whenever the optimal
     measurement is axial or equatorial, which covers the full a=d, b=c
     family and the full-rank reference state a=b=1/3, c=d=x=y=1/6.  It
     can be strict when the optimum sits at an interior polar angle,
@@ -402,14 +398,13 @@ def x_candidate_discord(params: XStateParams) -> tuple:
 
     axial_dir = MeasurementDirection((0.0, 0.0, 1.0))
     equatorial_dir = MeasurementDirection.from_angles(np.pi / 2.0, eq.psi_opt)
-    if f_axial >= eq.fidelity:
-        chosen = "axial"
+    chosen = "axial" if f_axial >= eq.fidelity else "equatorial"
+    family = None
+    if abs(f_axial - eq.fidelity) <= BRANCH_TOL:
+        dirs = [axial_dir, equatorial_dir]
+    elif chosen == "axial":
         dirs = [axial_dir]
-        if eq.fidelity >= f_axial - BRANCH_TOL:
-            dirs.append(equatorial_dir)
-        family = None
     else:
-        chosen = "equatorial"
         dirs = [equatorial_dir]
         family = "free_psi" if eq.free_psi else None
     breakdown = CandidateBreakdown(f_axial, eq.fidelity, float(h_max), float(k),
@@ -555,32 +550,57 @@ def degenerate_fidelity(params: XStateParams) -> tuple:
     return float(f_equator), 0.0, regime
 
 
-def closed_form_discord(params: XStateParams) -> tuple:
-    """Exact maximal fidelity of an X-state that has a closed form.
+def bures_discord(rho, method: str = "auto") -> tuple:
+    """Maximal fidelity of any two-qubit state by the paper's dispatch rule.
 
-    Applies the a=d, b=c case analysis first, then the rank-two endpoint
-    rule, and raises PreconditionNotMet for any other state.  Returns
-    (DiscordResult, source, detail): source 'symmetric_fidelity' with the
-    SymmetricBranch as detail, or 'degenerate_fidelity' with
-    (m_opt, regime) as detail.
+    'auto' applies the a=d, b=c case analysis, then the rank-two
+    endpoint rule, and otherwise runs the brute-force sphere search
+    (authoritative) next to the candidate axes.  'closed' stops after
+    the two closed forms (PreconditionNotMet for any other X-state),
+    'candidates' returns the candidate axes alone, and 'bruteforce' the
+    sphere search alone.  Non-X input goes to the sphere search;
+    'closed' and 'candidates' reject it with InvalidParams.
+
+    Returns (DiscordResult, trail, extra): trail lists the dispatch
+    path; extra holds 'candidate_gap' (the result's fidelity minus the
+    candidate value, None for 'candidates' and for non-X input) and then
+    the 'candidates', 'symmetric_branch' or 'degenerate' block.
     """
-    if is_symmetric_family(params):
+    if method not in DISCORD_METHODS:
+        raise InvalidParams(f"unknown method {method!r}; expected one of {DISCORD_METHODS}")
+    try:
+        params = x_params_from_matrix(rho)
+    except InvalidParams:
+        if method in ("closed", "candidates"):
+            raise InvalidParams(f"method={method} requires an X-shaped state") from None
+        return max_fidelity_bruteforce(rho), ["bruteforce"], {"candidate_gap": None}
+
+    candidate, breakdown = x_candidate_discord(params)
+    if method == "candidates":
+        return candidate, ["candidates"], {"candidate_gap": None, "candidates": asdict(breakdown)}
+    if method == "bruteforce":
+        result, trail, block = max_fidelity_bruteforce(rho), "bruteforce", {}
+    elif is_symmetric_family(params):
         result, branch = symmetric_fidelity(params)
-        return result, "symmetric_fidelity", branch
-    value, m_opt, regime = degenerate_fidelity(params)
-    eq = x_fidelity_equatorial(params)
-    axial = MeasurementDirection((0.0, 0.0, 1.0))
-    equatorial = MeasurementDirection.from_angles(np.pi / 2.0, eq.psi_opt)
-    family = None
-    if isinstance(m_opt, tuple):
-        dirs = [axial, equatorial]
-    elif m_opt == 1.0:
-        dirs = [axial]
+        trail = "symmetric_family->symmetric_fidelity"
+        block = {"symmetric_branch": asdict(branch)}
     else:
-        dirs = [equatorial]
-        family = "free_psi" if eq.free_psi else None
-    result = make_result(value, dirs, "degenerate", family)
-    return result, "degenerate_fidelity", (m_opt, regime)
+        try:
+            _, m_opt, regime = degenerate_fidelity(params)
+        except PreconditionNotMet:
+            if method == "closed":
+                raise
+            result = max_fidelity_bruteforce(rho)
+            trail = "general->candidates+bruteforce"
+            block = {"candidates": asdict(breakdown)}
+        else:
+            # the endpoint maximum is the better candidate axis, ties included
+            result = replace(candidate, method="degenerate")
+            trail = "degenerate_preconditions->degenerate_fidelity"
+            block = {"degenerate": {"m_opt": m_opt, "regime": regime}}
+    if method == "closed":  # reached only through the two closed forms
+        trail = "closed->" + trail.split("->")[1]
+    return result, [trail], {"candidate_gap": result.fidelity - candidate.fidelity, **block}
 
 
 def discord_upper_bound(params: XStateParams) -> tuple:

@@ -64,29 +64,13 @@ class XStateParams:
 class XSpectrum:
     """Closed-form eigensystem of an X-state.
 
-    ``eigenvalues[i]`` pairs with ``eigenvectors[:, i]``.  Order:
-    (p1, p2) from the inner b/c block with the minus root first,
-    (p3, p4) from the outer a/d block likewise.
+    ``eigenvalues[i]`` pairs with ``eigenvectors[:, i]``.  Order: the
+    inner b/c block's pair with the minus root first, then the outer
+    a/d block's pair likewise.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def p1(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def p2(self) -> float:
-        return float(self.eigenvalues[1])
-
-    @property
-    def p3(self) -> float:
-        return float(self.eigenvalues[2])
-
-    @property
-    def p4(self) -> float:
-        return float(self.eigenvalues[3])
 
 
 @dataclass(frozen=True)
@@ -179,42 +163,27 @@ def x_spectrum(params: XStateParams) -> XSpectrum:
     the printed eigenvector degenerates to the zero vector; the matching
     canonical basis vector is substituted.
     """
-    a, b, c, d, x, y = params.a, params.b, params.c, params.d, params.x, params.y
-    inner_root = np.sqrt((b - c) ** 2 + 4.0 * abs(x) ** 2)
-    outer_root = np.sqrt((a - d) ** 2 + 4.0 * abs(y) ** 2)
-    p = np.array([
-        0.5 * ((b + c) - inner_root),
-        0.5 * ((b + c) + inner_root),
-        0.5 * ((a + d) - outer_root),
-        0.5 * ((a + d) + outer_root),
-    ])
+    p = np.zeros(4)
+    vecs = np.zeros((4, 4), dtype=complex)
+    # (first column, basis pair (i, j), rho_ii, rho_jj, coherence rho_ij)
+    blocks = ((0, 1, 2, params.b, params.c, params.x), (2, 0, 3, params.a, params.d, params.y))
+    for col0, i, j, top, bottom, coh in blocks:
+        root = np.sqrt((top - bottom) ** 2 + 4.0 * abs(coh) ** 2)
+        p[col0] = 0.5 * ((top + bottom) - root)
+        p[col0 + 1] = 0.5 * ((top + bottom) + root)
+        for col, sign in ((col0, -1), (col0 + 1, +1)):
+            v = np.zeros(4, dtype=complex)
+            v[i] = _pair_root(top - bottom, abs(coh) ** 2, sign)
+            v[j] = 2.0 * np.conj(coh)
+            norm = np.linalg.norm(v)
+            if norm < 1e-15:
+                # coh == 0: eigenvalue pair is {top, bottom}; minus root is the smaller
+                v = np.zeros(4, dtype=complex)
+                v[j if (top >= bottom) == (sign < 0) else i] = 1.0
+                norm = 1.0
+            vecs[:, col] = v / norm
     if p.min() < -PARAM_PSD_SLACK:
         raise InvalidParams(f"negative eigenvalue {p.min():.3e}")
-
-    vecs = np.zeros((4, 4), dtype=complex)
-    for col, sign in ((0, -1), (1, +1)):
-        v = np.array([0.0, _pair_root(b - c, abs(x) ** 2, sign), 2.0 * np.conj(x), 0.0], dtype=complex)
-        norm = np.linalg.norm(v)
-        if norm < 1e-15:
-            # x == 0: eigenvalue pair is {b, c}; minus root is min(b, c)
-            low_is_c = b >= c
-            want_low = sign < 0
-            basis = 2 if (low_is_c == want_low) else 1
-            v = np.zeros(4, dtype=complex)
-            v[basis] = 1.0
-            norm = 1.0
-        vecs[:, col] = v / norm
-    for col, sign in ((2, -1), (3, +1)):
-        v = np.array([_pair_root(a - d, abs(y) ** 2, sign), 0.0, 0.0, 2.0 * np.conj(y)], dtype=complex)
-        norm = np.linalg.norm(v)
-        if norm < 1e-15:
-            low_is_d = a >= d
-            want_low = sign < 0
-            basis = 3 if (low_is_d == want_low) else 0
-            v = np.zeros(4, dtype=complex)
-            v[basis] = 1.0
-            norm = 1.0
-        vecs[:, col] = v / norm
     return XSpectrum(p, vecs)
 
 
@@ -280,6 +249,14 @@ def is_symmetric_family(params: XStateParams) -> bool:
     return abs(params.a - params.d) <= SYMMETRIC_TOL and abs(params.b - params.c) <= SYMMETRIC_TOL
 
 
+def require_symmetric_family(params: XStateParams) -> None:
+    """Raise NotSymmetricFamily unless the state is in the a=d, b=c family."""
+    if not is_symmetric_family(params):
+        raise NotSymmetricFamily(
+            f"requires a = d and b = c; got a - d = {params.a - params.d!r}, b - c = {params.b - params.c!r}"
+        )
+
+
 def symmetric_to_bd(params: XStateParams) -> tuple:
     """Correlation triple (c1, c2, c3) of the Bell-diagonal state locally
     equivalent to an a=d, b=c X-state.
@@ -289,10 +266,7 @@ def symmetric_to_bd(params: XStateParams) -> tuple:
     p_i = (1 + c1 + c2 + c3 - 2 c_i)/4, which fails for |y| > |x| if the
     first component is folded to its absolute value.
     """
-    if not is_symmetric_family(params):
-        raise NotSymmetricFamily(
-            f"requires a = d and b = c; got a - d = {params.a - params.d!r}, b - c = {params.b - params.c!r}"
-        )
+    require_symmetric_family(params)
     return (
         2.0 * (abs(params.x) - abs(params.y)),
         2.0 * (abs(params.x) + abs(params.y)),

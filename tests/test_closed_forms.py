@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 
 from buresdiscord.closed_forms import (
     bd_transport,
+    bures_discord,
     char_poly_coeffs,
     classical_correlation_symmetric,
-    closed_form_discord,
     degenerate_fidelity,
     discord_upper_bound,
     lambda1_profile,
@@ -25,10 +25,11 @@ from buresdiscord.discord_core import (
     fidelity_at_direction,
     max_fidelity_bruteforce,
 )
-from buresdiscord.errors import NotSymmetricFamily, PreconditionNotMet
+from buresdiscord.errors import InvalidParams, NotSymmetricFamily, PreconditionNotMet
 from buresdiscord.linalg import I4, bures_distance_sq, fidelity, herm_eig
 from buresdiscord.sampling import (
     random_degenerate_params,
+    random_state,
     random_symmetric_params,
     random_x_params,
 )
@@ -299,6 +300,16 @@ class TestXCandidates:
             assert bd.chosen in ("axial", "equatorial")
             assert bd.tau >= 0.0 and bd.kappa >= 0.0
 
+    def test_tie_within_branch_tol_lists_both_axes(self):
+        # F_eq - F_z is about 1e-13 here and |xy| < BRANCH_TOL: a tie, not
+        # a free-psi equatorial optimum
+        p = XStateParams(0.3, 0.2, 0.3, 0.2, x=1.6e-7, y=1.6e-7)
+        result, bd = x_candidate_discord(p)
+        assert 0.0 < bd.F_equatorial - bd.F_axial <= 1e-12
+        assert [d.theta for d in result.optimal_directions] == [0.0, np.pi / 2.0]
+        assert result.degenerate_family is None
+        assert result.fidelity == bd.F_equatorial
+
     def test_symmetric_family_agreement(self):
         # on the a=d, b=c family the candidate maximum is the exact value
         rng = np.random.default_rng(36)
@@ -437,22 +448,72 @@ class TestDegenerateFidelity:
         assert abs(value - 0.5) < 1e-14
 
 
-class TestClosedFormDiscord:
+RANK_TWO = XStateParams(0.4, 0.3, 0.2, 0.1, x=np.sqrt(0.06), y=0.2)
+GENERAL_X = XStateParams(0.4, 0.3, 0.2, 0.1, x=0.05)
+
+
+class TestBuresDiscord:
+    @pytest.mark.parametrize("params, method, trail", [
+        (ODD_PAIR, "auto", "symmetric_family->symmetric_fidelity"),
+        (ODD_PAIR, "closed", "closed->symmetric_fidelity"),
+        (RANK_TWO, "auto", "degenerate_preconditions->degenerate_fidelity"),
+        (RANK_TWO, "closed", "closed->degenerate_fidelity"),
+        (GENERAL_X, "auto", "general->candidates+bruteforce"),
+        (GENERAL_X, "candidates", "candidates"),
+        (GENERAL_X, "bruteforce", "bruteforce"),
+    ])
+    def test_trail(self, params, method, trail):
+        _, got, extra = bures_discord(x_state(params), method)
+        assert got == [trail]
+        assert next(iter(extra)) == "candidate_gap"
+
     def test_symmetric_state_uses_case_analysis(self):
-        result, source, detail = closed_form_discord(ODD_PAIR)
-        assert source == "symmetric_fidelity"
-        assert detail == symmetric_fidelity(ODD_PAIR)[1]
-        assert result.method == "symmetric_closed"
+        result, _, extra = bures_discord(x_state(ODD_PAIR))
+        closed, branch = symmetric_fidelity(ODD_PAIR)
+        assert result == closed
+        assert list(extra) == ["candidate_gap", "symmetric_branch"]
+        assert extra["symmetric_branch"]["case"] == branch.case
+        assert extra["candidate_gap"] == closed.fidelity - x_candidate_discord(ODD_PAIR)[0].fidelity
 
     def test_rank_two_state_uses_endpoint_rule(self):
-        p = XStateParams(0.4, 0.3, 0.2, 0.1, x=np.sqrt(0.06), y=0.2)
-        result, source, (m_opt, regime) = closed_form_discord(p)
-        assert source == "degenerate_fidelity"
-        assert m_opt == 0.0
-        assert regime == "interior"
+        result, _, extra = bures_discord(x_state(RANK_TWO))
+        assert list(extra) == ["candidate_gap", "degenerate"]
+        assert extra["degenerate"] == {"m_opt": 0.0, "regime": "interior"}
         assert result.method == "degenerate"
-        assert result.fidelity == degenerate_fidelity(p)[0]
+        assert result.fidelity == degenerate_fidelity(RANK_TWO)[0]
+        assert extra["candidate_gap"] == 0.0
 
-    def test_general_x_state_raises(self):
+    def test_general_x_state_falls_back_to_bruteforce(self):
+        result, _, extra = bures_discord(x_state(GENERAL_X))
+        cand, breakdown = x_candidate_discord(GENERAL_X)
+        assert result.method == "bruteforce"
+        assert list(extra) == ["candidate_gap", "candidates"]
+        assert extra["candidates"]["F_axial"] == breakdown.F_axial
+        assert extra["candidate_gap"] == result.fidelity - cand.fidelity
+        assert extra["candidate_gap"] >= -1e-9
+
+    def test_candidates_have_no_gap(self):
+        result, _, extra = bures_discord(x_state(GENERAL_X), "candidates")
+        assert result == x_candidate_discord(GENERAL_X)[0]
+        assert extra["candidate_gap"] is None
+
+    def test_closed_rejects_general_x_state(self):
         with pytest.raises(PreconditionNotMet):
-            closed_form_discord(XStateParams(0.4, 0.3, 0.2, 0.1, x=0.05))
+            bures_discord(x_state(GENERAL_X), "closed")
+
+    def test_non_x_input_goes_to_bruteforce(self):
+        rho = random_state(np.random.default_rng(5))
+        for method in ("auto", "bruteforce"):
+            result, trail, extra = bures_discord(rho, method)
+            assert result.method == "bruteforce"
+            assert trail == ["bruteforce"]
+            assert extra == {"candidate_gap": None}
+
+    @pytest.mark.parametrize("method", ["closed", "candidates"])
+    def test_non_x_input_rejected_by_x_methods(self, method):
+        with pytest.raises(InvalidParams):
+            bures_discord(random_state(np.random.default_rng(5)), method)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(InvalidParams):
+            bures_discord(x_state(ODD_PAIR), "exact")
