@@ -9,11 +9,12 @@ and inspects the characteristic-polynomial machinery behind the analysis.
 import numpy as np
 
 from buresdiscord import (
+    MeasurementDirection,
+    ccs_from_measurement,
     char_poly_coeffs,
     lambda1_profile,
     max_fidelity_bruteforce,
     x_candidate_discord,
-    x_ccs_z,
     x_fidelity_equatorial,
     x_fidelity_z,
     x_state,
@@ -49,11 +50,14 @@ print(f"equatorial candidate F\" = {f_eq.fidelity:.12f}"
       f"  at psi = {f_eq.psi_opt:.6f}")
 print(f"brute force          F  = {brute.fidelity:.12f}")
 
-# When the axial candidate wins, the closest classical state is diagonal
-# in the computational basis.
-chi = x_ccs_z(params)
+# The closest classical state for the z-axis measurement is diagonal in
+# the computational basis and reaches the axial candidate F'; it is the
+# closest classical state outright when the axial candidate wins.
+z_axis = MeasurementDirection((0.0, 0.0, 1.0))
+chi, chi_fidelity = ccs_from_measurement(x_state(params), z_axis)
 off = np.abs(chi - np.diag(np.diag(chi))).max()
-print(f"axial CCS off-diagonal magnitude: {off:.1e}")
+print(f"axial CCS off-diagonal magnitude: {off:.1e},"
+      f" |F(rho, CCS) - F'| = {abs(chi_fidelity - f_ax):.1e}")
 
 # --- characteristic polynomial of the fidelity operator ----------------
 # Along the meridian at the optimal phase the eigenvalues of the operator
@@ -62,7 +66,7 @@ print(f"axial CCS off-diagonal magnitude: {off:.1e}")
 # numerically diagonalized operator confirm them (t_k carries the usual
 # alternating sign relative to the elementary symmetric polynomial e_k).
 m = 0.37
-from buresdiscord import MeasurementDirection, herm_eig, lambda_matrix
+from buresdiscord import herm_eig, lambda_matrix
 
 coeffs = char_poly_coeffs(params, m, f_eq.psi_opt)
 direction = MeasurementDirection.from_angles(np.arccos(m), f_eq.psi_opt)

@@ -13,6 +13,10 @@ subfamily admits its own closed form, and the characteristic polynomial
 of L(u) is available in coefficient form for any axis.  bures_discord
 applies these in the paper's order and falls back to the brute-force
 sphere search for every other state.
+
+The closest classical state along any axis, z included, is
+discord_core.ccs_from_measurement; symmetric_ccs adds only the paper's
+printed r-families of the a=d, b=c family.
 """
 
 from __future__ import annotations
@@ -49,6 +53,14 @@ def _arg_or_zero(z: complex) -> float:
     if abs(z) == 0.0:
         return 0.0
     return float(np.angle(z))
+
+
+def _unit_interval(name: str, value: float) -> float:
+    """value as a float, InvalidParams unless it lies in [-1, 1] (NaN never does)."""
+    value = float(value)
+    if not -1.0 <= value <= 1.0:
+        raise InvalidParams(f"{name} = {value!r} outside [-1, 1]")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +144,6 @@ class BdTransport:
     u_b: np.ndarray
 
 
-def _pair_fidelity_terms(probs: np.ndarray) -> list:
-    """f(m) = sqrt(p0 pm) + sqrt(pn pk) for m = 1, 2, 3."""
-    out = []
-    for m in (1, 2, 3):
-        n, k = [i for i in (1, 2, 3) if i != m]
-        out.append(np.sqrt(probs[0] * probs[m]) + np.sqrt(probs[n] * probs[k]))
-    return out
-
-
 def bd_transport(params: XStateParams) -> BdTransport:
     """Compute the Bell-diagonal frame of an a=d, b=c state.
 
@@ -156,14 +159,13 @@ def bd_transport(params: XStateParams) -> BdTransport:
     triple = symmetric_to_bd(params)
     probs = bd_probs(triple)
 
-    qs = []
+    qs, terms = [], []  # terms: f(m) = sqrt(p0 pm) + sqrt(pn pk)
     for m in (1, 2, 3):
         n, k = [i for i in (1, 2, 3) if i != m]
-        top = 2.0 * np.sqrt(probs[n] * probs[k]) - 2.0 * np.sqrt(probs[0] * probs[m]) + triple[m - 1]
-        bottom = 4.0 * np.sqrt(probs[n] * probs[k]) + 4.0 * np.sqrt(probs[0] * probs[m]) + 2.0
-        qs.append(0.5 + top / bottom)
-
-    terms = _pair_fidelity_terms(probs)
+        root_0m, root_nk = np.sqrt(probs[0] * probs[m]), np.sqrt(probs[n] * probs[k])
+        top = 2.0 * root_nk - 2.0 * root_0m + triple[m - 1]
+        qs.append(0.5 + top / (4.0 * root_nk + 4.0 * root_0m + 2.0))
+        terms.append(root_0m + root_nk)
     m_opt = 1 + int(np.argmax(terms))
 
     others = [i for i in (1, 2, 3) if i != m_opt]
@@ -224,9 +226,11 @@ def symmetric_ccs(params: XStateParams, r: float | None = None) -> SymmetricCcs:
     r in [-1, 1], of equally close states exists; r selects the member
     (default 0).  Every member achieves the case-analysis fidelity.
     Otherwise the state is built by the measurement-projector
-    construction at the optimal axis and r is ignored.
+    construction at the optimal axis and r, still required to lie in
+    [-1, 1], is ignored.
     """
     require_symmetric_family(params)
+    rv = _unit_interval("r", 0.0 if r is None else r)
     rho = x_state(params)
     result, _branch_info = symmetric_fidelity(params)
     transport = bd_transport(params)
@@ -236,9 +240,6 @@ def symmetric_ccs(params: XStateParams, r: float | None = None) -> SymmetricCcs:
         return SymmetricCcs(ccs.state, ccs.fidelity_check, "generic",
                             branch_not_printed=r is not None)
 
-    rv = 0.0 if r is None else float(r)
-    if not -1.0 <= rv <= 1.0:
-        raise InvalidParams(f"r = {rv!r} outside [-1, 1]")
     q = transport.q[transport.m_opt - 1]
     p00, p11, p01, p10 = _pauli_product_states(transport.m_opt)
     if transport.branch == "r_odd_pair":
@@ -282,52 +283,6 @@ def x_fidelity_z(params: XStateParams) -> float:
     """Fidelity objective at the z axis:
     (1 + sqrt((b+c)^2 - 4|x|^2) + sqrt((a+d)^2 - 4|y|^2)) / 2."""
     return _z_terms(params)[0]
-
-
-def _axial_block_vector(total: float, coherence: complex, sign: int, outer: bool) -> np.ndarray:
-    """Eigenvector (total + sign*sqrt(total^2 - 4|coherence|^2), -2 conj(coherence))
-    of the relevant 2x2 block of L(z), embedded in C^4; canonical basis
-    fallback when the printed vector vanishes (coherence = 0)."""
-    root = np.sqrt(max(total * total - 4.0 * abs(coherence) ** 2, 0.0))
-    w = total + sign * root
-    if outer:
-        v = np.array([w, 0.0, 0.0, -2.0 * np.conj(coherence)], dtype=complex)
-        fallback = 0 if sign > 0 else 3
-    else:
-        v = np.array([0.0, w, -2.0 * np.conj(coherence), 0.0], dtype=complex)
-        fallback = 1 if sign > 0 else 2
-    norm = np.linalg.norm(v)
-    if norm < 1e-15:
-        v = np.zeros(4, dtype=complex)
-        v[fallback] = 1.0
-        return v
-    return v / norm
-
-
-def x_ccs_z(params: XStateParams) -> np.ndarray:
-    """Closest classical state for measurement along z: a diagonal state.
-
-    Built from the eigenvectors of L(z): the two plus-branch vectors
-    carry the projector for outcome +z and fill the |00>, |01> weights;
-    the minus-branch vectors fill |10>, |11>.  Weights are squared
-    overlaps of rho with each eigenvector over its expectation, then the
-    diagonal is normalized.  Valid for any X-state, full rank or not.
-    """
-    rho = x_state(params)
-    diag = np.zeros(4)
-    for sign, rows in ((+1, (0, 1)), (-1, (2, 3))):
-        for vec in (_axial_block_vector(params.b + params.c, params.x, sign, outer=False),
-                    _axial_block_vector(params.a + params.d, params.y, sign, outer=True)):
-            weight = np.real(vec.conj() @ rho @ vec)
-            if weight < 1e-15:
-                continue
-            image = rho @ vec
-            for row in rows:
-                diag[row] += abs(image[row]) ** 2 / weight
-    total = diag.sum()
-    if total <= 0.0:
-        raise InvalidParams("state has no weight in either measurement outcome")
-    return np.diag(diag / total).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -453,9 +408,7 @@ def char_poly_coeffs(params: XStateParams, m: float, psi: float) -> CharPolyCoef
         t1 = m [(a-d)(bc - |x|^2) + (b-c)(ad - |y|^2)]
         t0 = (ad - |y|^2)(bc - |x|^2) = det(rho)
     """
-    m = float(m)
-    if not -1.0 <= m <= 1.0:
-        raise InvalidParams(f"m = {m!r} outside [-1, 1]")
+    m = _unit_interval("m", m)
     a, b, c, d = params.a, params.b, params.c, params.d
     ax2, ay2 = abs(params.x) ** 2, abs(params.y) ** 2
     n = np.sqrt(max(1.0 - m * m, 0.0)) * np.exp(1j * float(psi))
@@ -487,7 +440,7 @@ def lambda1_profile(params: XStateParams, m: float) -> tuple:
     determinant and t1), and even there the value at interior m need
     not be attained by the fidelity objective.
     """
-    m = float(m)
+    m = _unit_interval("m", m)
     a, b, c, d = params.a, params.b, params.c, params.d
     g = _g_invariant(params)
     delta = c + d - a - b

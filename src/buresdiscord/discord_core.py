@@ -8,10 +8,11 @@ for a measurement axis u on qubit A, the fidelity objective
 with l1 >= l2 >= ... the eigenvalues of L(u), its maximum over the
 Bloch sphere (computed by grid scan plus compass-search refinement, the
 reference oracle for every closed form), the closest A-classical state
-assembled from the top-two spectral projector of L(u), and the
-minimal-error discrimination quantities that make F(u) a two-state
-discrimination problem.  An entropy-based discord is included as an
-independent cross-check path.
+assembled from the top-two spectral projector of L(u), the exact
+dephasing residual that certifies a state A-classical along an axis,
+and the minimal-error discrimination quantities that make F(u) a
+two-state discrimination problem.  An entropy-based discord is included
+as an independent cross-check path.
 
 Both sphere objectives are even in u: L(-u) = -L(u) leaves F unchanged,
 and -u is the same measurement with its outcomes swapped.  So the scan
@@ -350,6 +351,15 @@ def ccs_from_measurement(rho, direction: MeasurementDirection) -> CcsResult:
     chi = (chi + chi.conj().T) / 2.0
     chi /= np.trace(chi).real
     return CcsResult(chi, fidelity(rho, chi), degenerate)
+
+
+def dephasing_residual(chi, direction: MeasurementDirection) -> float:
+    """max |sum_k (Pi_k (x) I) chi (Pi_k (x) I) - chi|, Pi_k the projectors
+    of the measurement along u: zero exactly when chi is A-classical for
+    u, that is unchanged by measuring qubit A along u."""
+    chi = np.asarray(chi, dtype=complex)
+    sandwiches = [np.kron(np.outer(a, a.conj()), I2) for a in _measurement_basis(direction)]
+    return float(np.max(np.abs(sum(s @ chi @ s for s in sandwiches) - chi)))
 
 
 def helstrom_success(ensemble: QsdEnsemble) -> float:

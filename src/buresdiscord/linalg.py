@@ -19,10 +19,11 @@ from .errors import InvalidParams, NotHermitian, NotPSD
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-9
 PSD_CLAMP = 1e-10          # eigenvalues in [-PSD_CLAMP, 0) are treated as 0
-# Relative floor below which eigenvalues of an exactly singular product
-# are zeroed before taking square roots; keeps fidelity accurate to
-# ~1e-12 on rank-deficient states instead of the sqrt(eps) noise floor.
-EIG_REL_FLOOR = 1e-13
+# Relative floor below which eigenvalues are zeroed before square roots:
+# ~20x above the rounding noise of an exactly singular state (<= 5.6e-16
+# of the top eigenvalue), below the eigenvalue b eps of |x| = b (1 - eps)
+# for eps >= 1e-12, b >= 0.05, whose root the closest classical state needs.
+EIG_REL_FLOOR = 1e-14
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -32,8 +32,10 @@ def random_symmetric_params(rng: np.random.Generator) -> XStateParams:
 def random_degenerate_params(rng: np.random.Generator, kind: str = "bc") -> XStateParams:
     """X-states on which the rank-two closed form applies.
 
-    kind 'bc': inner block pinned, b = c = |x|; kind 'ad_bc': both
-    determinant factors vanish, |x| = sqrt(bc) and |y| = sqrt(ad).
+    kind 'bc': inner block pinned, b = c = |x|; kind 'ad': outer block
+    pinned, a = d = |y| (a 'bc' state with qubit B's basis swapped);
+    kind 'ad_bc': both determinant factors vanish, |x| = sqrt(bc) and
+    |y| = sqrt(ad).
     """
     if kind == "bc":
         b = rng.uniform(0.05, 0.45)
@@ -43,6 +45,9 @@ def random_degenerate_params(rng: np.random.Generator, kind: str = "bc") -> XSta
         x = b * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         y = rng.uniform(0.0, 1.0) * np.sqrt(a * d) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         return XStateParams(a, b, b, d, x, y)
+    if kind == "ad":
+        p = random_degenerate_params(rng, "bc")
+        return XStateParams(p.b, p.a, p.d, p.b, p.y, p.x)
     if kind == "ad_bc":
         a, b, c, d = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
         x = np.sqrt(b * c) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))

@@ -33,7 +33,6 @@ from buresdiscord.closed_forms import (
     symmetric_ccs,
     symmetric_fidelity,
     x_candidate_discord,
-    x_ccs_z,
     x_fidelity_equatorial,
     x_fidelity_z,
 )
@@ -323,10 +322,12 @@ def test_criterion_09_ccs_validity():
         ccs = ccs_from_measurement(rho, d)
         emitted.append((rho, ccs.state, fidelity_at_direction(rho, d)))
 
-    # axial closed form
-    for _ in range(6):
-        p = random_x_params(rng)
-        emitted.append((x_state(p), x_ccs_z(p), x_fidelity_z(p)))
+    # projector CCS at z on the pinned rank-two states (b = c = |x|, a = d = |y|)
+    for kind in ("bc", "ad"):
+        for _ in range(3):
+            p = random_degenerate_params(rng, kind)
+            ccs = ccs_from_measurement(x_state(p), MeasurementDirection((0.0, 0.0, 1.0)))
+            emitted.append((x_state(p), ccs.state, x_fidelity_z(p)))
 
     # symmetric-family branches (the r families and the generic fallback)
     for p in (XStateParams(0.3, 0.2, 0.2, 0.3, x=0.2, y=0.1),

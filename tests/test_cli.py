@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from buresdiscord import cli, closed_forms
 from buresdiscord.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 WERNER_HALF = {"kind": "werner", "werner": {"w": 0.5}}
 GENERAL_X = {"kind": "x_state", "x_state": {
@@ -168,7 +170,21 @@ class TestCcsCommand:
         assert np.abs(m - m.conj().T).max() < 1e-8
         assert abs(np.trace(m).real - 1.0) < 1e-8
         assert np.linalg.eigvalsh(m).min() > -1e-8
-        assert report["a_classical_discord"] <= 1e-6
+        assert report["a_classical_residual"] <= 1e-10
+        assert report["a_classical"]
+
+    def test_no_sphere_search_on_closed_form_input(self, monkeypatch, capsys):
+        # the symmetric input has a closed form, and A-classicality is an
+        # exact residual, so no sphere search may run
+        def forbidden(_rho):
+            raise AssertionError("max_fidelity_bruteforce called")
+
+        monkeypatch.setattr(cli, "max_fidelity_bruteforce", forbidden)
+        monkeypatch.setattr(closed_forms, "max_fidelity_bruteforce", forbidden)
+        code, report = run_json(capsys, ["ccs", "--input", str(GOLDEN_INPUTS / "symmetric.json")])
+        assert code == 0
+        assert report["a_classical"]
+        assert report["a_classical_residual"] <= 1e-10
 
 
 class TestClassicalCommand:

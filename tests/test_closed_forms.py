@@ -16,12 +16,12 @@ from buresdiscord.closed_forms import (
     symmetric_ccs,
     symmetric_fidelity,
     x_candidate_discord,
-    x_ccs_z,
     x_fidelity_equatorial,
     x_fidelity_z,
 )
 from buresdiscord.discord_core import (
     MeasurementDirection,
+    ccs_from_measurement,
     fidelity_at_direction,
     max_fidelity_bruteforce,
 )
@@ -194,6 +194,13 @@ class TestSymmetricCcs:
         assert ccs.branch_not_printed
         assert abs(ccs.fidelity_check - (0.625 + np.sqrt(0.125 * 0.625))) < 1e-10
 
+    @pytest.mark.parametrize("r", [7.0, -1.5, float("nan")])
+    @pytest.mark.parametrize("params", [werner_params(0.5), ODD_PAIR, EVEN_PAIR],
+                             ids=["generic", "r_odd_pair", "r_even_pair"])
+    def test_r_outside_unit_interval_rejected_on_every_branch(self, params, r):
+        with pytest.raises(InvalidParams):
+            symmetric_ccs(params, r=r)
+
     def test_generic_without_r_not_flagged(self):
         ccs = symmetric_ccs(werner_params(0.5))
         assert not ccs.branch_not_printed
@@ -330,37 +337,32 @@ class TestXCandidates:
             assert abs(2.0 * (1.0 - np.sqrt(direct)) - bound) < 1e-9
 
 
-class TestXCcsZ:
+class TestZAxisCcs:
+    """The z-axis closest classical state is ccs_from_measurement at z."""
+
+    @staticmethod
+    def ccs_z(p):
+        return ccs_from_measurement(x_state(p), MeasurementDirection((0.0, 0.0, 1.0)))
+
     def test_diagonal_and_fidelity(self):
         rng = np.random.default_rng(38)
         for _ in range(100):
             p = random_x_params(rng)
-            chi = x_ccs_z(p)
+            chi = self.ccs_z(p).state
             assert np.abs(chi - np.diag(np.diag(chi))).max() <= 1e-10
             assert abs(np.trace(chi).real - 1.0) < 1e-10
             assert abs(fidelity(x_state(p), chi) - x_fidelity_z(p)) < 1e-8
 
-    def test_matches_projector_construction(self):
-        from buresdiscord.discord_core import ccs_from_measurement
-        rng = np.random.default_rng(39)
-        for _ in range(50):
-            p = random_x_params(rng)
-            chi = x_ccs_z(p)
-            general = ccs_from_measurement(x_state(p), MeasurementDirection((0.0, 0.0, 1.0)))
-            if general.degenerate_projector:
-                continue
-            assert np.abs(chi - general.state).max() < 1e-8
-
     def test_diagonal_input_fixed_point(self):
         p = XStateParams(0.4, 0.3, 0.2, 0.1)
-        assert np.abs(x_ccs_z(p) - x_state(p)).max() < 1e-12
+        assert np.abs(self.ccs_z(p).state - x_state(p)).max() < 1e-12
 
     def test_vanishing_coherence_blocks(self):
-        # x = 0 exercises the inner-block fallback, y = 0 the outer
+        # x = 0 leaves only the outer coherence, y = 0 only the inner
         for p in (XStateParams(0.35, 0.3, 0.2, 0.15, x=0.0, y=0.1),
                   XStateParams(0.35, 0.3, 0.2, 0.15, x=0.12, y=0.0),
                   XStateParams(0.15, 0.2, 0.3, 0.35, x=0.0, y=0.0)):
-            chi = x_ccs_z(p)
+            chi = self.ccs_z(p).state
             assert abs(fidelity(x_state(p), chi) - x_fidelity_z(p)) < 1e-10
 
 
@@ -411,6 +413,14 @@ class TestCharPoly:
         lam_star, _, _ = lambda1_profile(p, np.sqrt(0.3))
         assert abs(lam_star - np.sqrt(5.0 / 24.0)) < 1e-15
         assert abs(g - (-4.0 / 9.0)) < 1e-15 and abs(delta - (-1.0 / 3.0)) < 1e-15
+
+    @pytest.mark.parametrize("m", [5.0, -1.0 - 1e-12, float("nan")])
+    def test_m_outside_unit_interval_rejected(self, m):
+        p = XStateParams(1/3, 1/3, 1/6, 1/6, x=1/6, y=1/6)
+        with pytest.raises(InvalidParams):
+            lambda1_profile(p, m)
+        with pytest.raises(InvalidParams):
+            char_poly_coeffs(p, m, 0.0)
 
 
 class TestDegenerateFidelity:

@@ -17,6 +17,7 @@ from buresdiscord.discord_core import (
     _mirror_scan,
     _objective_batch_factory,
     ccs_from_measurement,
+    dephasing_residual,
     entropic_discord,
     fidelity_at_direction,
     helstrom_success,
@@ -379,6 +380,30 @@ class TestCcs:
         # I/4 at z has eigenvalues (1/4, 1/4, -1/4, -1/4): the cut is sharp
         sharp = ccs_from_measurement(I4 / 4.0, MeasurementDirection((0.0, 0.0, 1.0)))
         assert not sharp.degenerate_projector
+
+
+class TestDephasingResidual:
+    def test_bell_at_z_is_half(self):
+        # dephasing along z removes the two 1/2 coherences of the Bell state
+        assert dephasing_residual(BELL, MeasurementDirection((0.0, 0.0, 1.0))) == 0.5
+
+    def test_classical_state_own_axis_and_perpendicular(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            cp = random_classical_params(rng)
+            rho = classical_state(cp)
+            r = np.asarray(cp.r)
+            perp = np.cross(r, random_direction(rng))
+            perp /= np.linalg.norm(perp)
+            assert dephasing_residual(rho, MeasurementDirection(tuple(r))) < 1e-15
+            assert dephasing_residual(rho, MeasurementDirection(tuple(perp))) > 1e-3
+
+    def test_ccs_residual_along_its_axis(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            d = MeasurementDirection(tuple(random_direction(rng)))
+            ccs = ccs_from_measurement(random_state(rng), d)
+            assert dephasing_residual(ccs.state, d) <= 1e-10
 
 
 class TestDiscrimination:

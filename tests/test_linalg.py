@@ -102,6 +102,13 @@ class TestPsdSqrt:
         proj = np.outer(vec, vec)
         assert np.abs(psd_sqrt(proj) - proj).max() < 1e-12
 
+    def test_floor_keeps_small_eigenvalues_and_drops_noise(self):
+        # 5e-14 is the smallest eigenvalue of a state a relative 1e-12 from
+        # b = c = |x|; 1e-16 is rounding noise on an exactly singular state
+        root = psd_sqrt(np.diag([1.0 - 5e-14, 5e-14, 1e-16, 0.0]))
+        assert_allclose(np.diag(root).real, [np.sqrt(1.0 - 5e-14), np.sqrt(5e-14), 0.0, 0.0],
+                        rtol=1e-12, atol=0.0)
+
     def test_rejects_negative(self):
         with pytest.raises(NotPSD):
             psd_sqrt(np.diag([1.0, -0.5, 0.2, 0.3]))
