@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,13 +141,6 @@ def _error_exit(kind: str, message: str, code: int) -> int:
 # input parsing
 
 
-@dataclass
-class ResolvedState:
-    kind: str
-    rho: np.ndarray
-    params: XStateParams | None
-
-
 def _read_input(path: str) -> dict:
     if path == "-":
         raw = sys.stdin.read()
@@ -175,19 +167,16 @@ def _x_params_from_fields(fields: dict) -> XStateParams:
         raise InvalidParams(f"x_state spec missing field {exc.args[0]!r}") from exc
 
 
-def resolve_state(spec: dict) -> ResolvedState:
-    """Turn a StateSpec JSON object into a density matrix plus, when the
-    state is X-shaped, its parameter block."""
+def resolve_state(spec: dict) -> tuple:
+    """Turn a StateSpec JSON object into (kind, density matrix)."""
     kind = spec.get("kind")
     if kind == "x_state":
-        params = _x_params_from_fields(spec.get("x_state", {}))
-        return ResolvedState(kind, x_state(params), params)
+        return kind, x_state(_x_params_from_fields(spec.get("x_state", {})))
     if kind == "werner":
         body = spec.get("werner", {})
         if "w" not in body:
             raise InvalidParams("werner spec requires field 'w'")
-        params = werner_params(float(body["w"]))
-        return ResolvedState(kind, x_state(params), params)
+        return kind, x_state(werner_params(float(body["w"])))
     if kind == "classical":
         body = spec.get("classical", {})
         try:
@@ -199,9 +188,7 @@ def resolve_state(spec: dict) -> ResolvedState:
             )
         except KeyError as exc:
             raise InvalidParams(f"classical spec missing field {exc.args[0]!r}") from exc
-        rho = classical_state(cp)
-        params = _try_x_params(rho)
-        return ResolvedState(kind, rho, params)
+        return kind, classical_state(cp)
     if kind == "matrix":
         body = spec.get("matrix", {})
         if "re" not in body:
@@ -210,16 +197,8 @@ def resolve_state(spec: dict) -> ResolvedState:
         im = np.asarray(body.get("im", np.zeros_like(re)), dtype=float)
         if re.shape != (4, 4) or im.shape != (4, 4):
             raise InvalidParams("matrix spec must be 4x4")
-        rho = check_density_matrix(re + 1j * im)
-        return ResolvedState(kind, rho, _try_x_params(rho))
+        return kind, check_density_matrix(re + 1j * im)
     raise InvalidParams(f"unknown state kind {kind!r}")
-
-
-def _try_x_params(rho: np.ndarray) -> XStateParams | None:
-    try:
-        return x_params_from_matrix(rho)
-    except InvalidParams:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +206,10 @@ def _try_x_params(rho: np.ndarray) -> XStateParams | None:
 
 
 def cmd_discord(args) -> int:
-    resolved = resolve_state(_read_input(args.input))
-    result, trail, extra = bures_discord(resolved.rho, args.method)
+    kind, rho = resolve_state(_read_input(args.input))
+    result, trail, extra = bures_discord(rho, args.method)
     report = {
-        "input_kind": resolved.kind,
+        "input_kind": kind,
         "method_requested": args.method,
         "method": result.method,
         "fidelity": result.fidelity,
@@ -251,17 +230,17 @@ def cmd_discord(args) -> int:
 def cmd_ccs(args) -> int:
     if args.psi is not None and args.theta is None:
         raise InvalidParams("--psi overrides the measurement axis only together with --theta")
-    resolved = resolve_state(_read_input(args.input))
+    _, rho = resolve_state(_read_input(args.input))
     if args.theta is not None:
         direction = MeasurementDirection.from_angles(args.theta, args.psi or 0.0)
         source = "override"
     else:
-        result, _, _ = bures_discord(resolved.rho)
+        result, _, _ = bures_discord(rho)
         best = result.optimal_directions[0]
         direction = MeasurementDirection.from_angles(best.theta, best.psi)
         source = result.method
 
-    ccs = ccs_from_measurement(resolved.rho, direction)
+    ccs = ccs_from_measurement(rho, direction)
     residual = dephasing_residual(ccs.state, direction)
     re, im = _matrix_parts(ccs.state)
     report = {
@@ -270,7 +249,7 @@ def cmd_ccs(args) -> int:
         "ccs_re": re,
         "ccs_im": im,
         "fidelity_check": ccs.fidelity_check,
-        "objective_fidelity": fidelity_at_direction(resolved.rho, direction),
+        "objective_fidelity": fidelity_at_direction(rho, direction),
         "degenerate_projector": ccs.degenerate_projector,
         "a_classical_residual": residual,
         "a_classical": bool(residual <= A_CLASSICAL_TOL),
@@ -284,10 +263,12 @@ def cmd_ccs(args) -> int:
 
 
 def cmd_classical(args) -> int:
-    resolved = resolve_state(_read_input(args.input))
-    if resolved.params is None:
-        raise NotSymmetricFamily("input state is not X-shaped")
-    value, product = classical_correlation_symmetric(resolved.params)
+    _, rho = resolve_state(_read_input(args.input))
+    try:
+        params = x_params_from_matrix(rho)
+    except InvalidParams:
+        raise NotSymmetricFamily("input state is not X-shaped") from None
+    value, product = classical_correlation_symmetric(params)
     re, im = _matrix_parts(product)
     report = {
         "classical_correlation": value,

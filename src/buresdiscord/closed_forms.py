@@ -1,18 +1,19 @@
 """Closed-form fidelities, closest classical states, and classical
 correlations for two-qubit X-states.
 
-For the a=d, b=c family the sphere maximum is known exactly via a
-three-way case split on |a-b| vs |x|+|y|.  That family is locally
-equivalent to a Bell-diagonal state; the equivalence transports closest
-classical states back and forth and yields the geometric classical
-correlation.  For general X-states two candidate measurement axes (the
-z axis and an equatorial axis with tuned azimuth) give closed-form
-fidelities whose maximum lower-bounds the true optimum, exactly
-attained whenever the optimal axis is axial or equatorial.  A rank-two
-subfamily admits its own closed form, and the characteristic polynomial
-of L(u) is available in coefficient form for any axis.  bures_discord
-applies these in the paper's order and falls back to the brute-force
-sphere search for every other state.
+Two candidate measurement axes of a general X-state, z and the equator
+at azimuth psi = -arg(x y)/2, give closed-form fidelities F_z and F_eq
+whose maximum lower-bounds the sphere maximum, exactly attained
+whenever the optimal axis is axial or equatorial.  The paper's a=d,
+b=c closed form is these two values under its case labels (|a-b| vs
+|x|+|y|), and its rank-two endpoint rule is their maximum under the
+(g, delta) regime labels; x_candidate_discord holds the one tie rule.
+The a=d, b=c family is locally equivalent to a Bell-diagonal state,
+which transports closest classical states and yields the geometric
+classical correlation.  The characteristic polynomial of L(u) is
+available in coefficient form for any axis.  bures_discord applies
+these in the paper's order and falls back to the brute-force sphere
+search for every other state.
 
 The closest classical state along any axis, z included, is
 discord_core.ccs_from_measurement; symmetric_ccs adds only the paper's
@@ -46,6 +47,7 @@ from .states import (
 BRANCH_TOL = 1e-12
 DEGENERATE_PRECONDITION_TOL = 1e-10
 DISCORD_METHODS = ("auto", "bruteforce", "closed", "candidates")
+_Z_AXIS = MeasurementDirection((0.0, 0.0, 1.0))
 
 
 def _arg_or_zero(z: complex) -> float:
@@ -84,7 +86,8 @@ class SymmetricBranch:
 
 
 def symmetric_fidelity(params: XStateParams) -> tuple:
-    """Exact maximal fidelity for the a=d, b=c family.
+    """Exact maximal fidelity for the a=d, b=c family: the candidate
+    axes under the paper's case labels, where F_z and F_eq reduce to
 
     Axial case:      F = 1/2 + sqrt(a^2 - |y|^2) + sqrt(b^2 - |x|^2)
     Equatorial case: F = 1/2 + sqrt((a+|y|)(b+|x|)) + sqrt((a-|y|)(b-|x|))
@@ -93,31 +96,24 @@ def symmetric_fidelity(params: XStateParams) -> tuple:
     |x y| = 0).  Returns (DiscordResult, SymmetricBranch).
     """
     require_symmetric_family(params)
-    a, b = params.a, params.b
-    ax, ay = abs(params.x), abs(params.y)
-    xy_zero = ax * ay <= BRANCH_TOL
-    psi_opt = (-_arg_or_zero(params.x * params.y) / 2.0) % (2.0 * np.pi)
+    return _symmetric_case(params, x_fidelity_z(params), x_fidelity_equatorial(params))
 
-    f_axial = 0.5 + np.sqrt(max(a * a - ay * ay, 0.0)) + np.sqrt(max(b * b - ax * ax, 0.0))
-    f_equatorial = (0.5 + np.sqrt(max((a + ay) * (b + ax), 0.0))
-                    + np.sqrt(max((a - ay) * (b - ax), 0.0)))
-    gap = abs(a - b) - (ax + ay)
 
-    axial_dir = MeasurementDirection((0.0, 0.0, 1.0))
-    equatorial_dir = MeasurementDirection.from_angles(np.pi / 2.0, psi_opt)
-
+def _symmetric_case(params: XStateParams, f_axial: float, eq: EquatorialCandidate) -> tuple:
+    """symmetric_fidelity from the candidate values F_z and eq of params."""
+    gap = abs(params.a - params.b) - (abs(params.x) + abs(params.y))
+    equatorial_dir = MeasurementDirection.from_angles(np.pi / 2.0, eq.psi_opt)
     if gap > BRANCH_TOL:
-        branch = SymmetricBranch("axial", xy_zero, "fixed")
-        result = make_result(f_axial, [axial_dir], "symmetric_closed")
+        branch = SymmetricBranch("axial", eq.free_psi, "fixed")
+        result = make_result(f_axial, [_Z_AXIS], "symmetric_closed")
     elif gap < -BRANCH_TOL:
-        family = "free_psi" if xy_zero else "fixed"
-        branch = SymmetricBranch("equatorial", xy_zero, family)
-        result = make_result(f_equatorial, [equatorial_dir], "symmetric_closed",
-                             "free_psi" if xy_zero else None)
+        family = "free_psi" if eq.free_psi else None
+        branch = SymmetricBranch("equatorial", eq.free_psi, family or "fixed")
+        result = make_result(eq.fidelity, [equatorial_dir], "symmetric_closed", family)
     else:
-        family = "free_sphere" if xy_zero else "free_theta"
-        branch = SymmetricBranch("boundary", xy_zero, family)
-        result = make_result(max(f_axial, f_equatorial), [axial_dir, equatorial_dir],
+        family = "free_sphere" if eq.free_psi else "free_theta"
+        branch = SymmetricBranch("boundary", eq.free_psi, family)
+        result = make_result(max(f_axial, eq.fidelity), [_Z_AXIS, equatorial_dir],
                              "symmetric_closed", family)
     return result, branch
 
@@ -271,6 +267,19 @@ def classical_correlation_symmetric(params: XStateParams) -> tuple:
 # general X-state candidates
 
 
+def _invariants(params: XStateParams) -> tuple:
+    """(g, delta, h_max) of an X-state: the rank-two profile's
+    g = 2(a^2+b^2+c^2+d^2) - 1 - 4(|x|^2+|y|^2-ad-bc) - 8|xy| and
+    delta = c + d - a - b, and h_max = 2|xy| + ac + bd, the equatorial
+    h at its best azimuth."""
+    a, b, c, d = params.a, params.b, params.c, params.d
+    ax2, ay2 = abs(params.x) ** 2, abs(params.y) ** 2
+    axy = abs(params.x * params.y)
+    g = (2.0 * (a * a + b * b + c * c + d * d) - 1.0
+         - 4.0 * (ax2 + ay2 - a * d - b * c) - 8.0 * axy)
+    return g, c + d - a - b, 2.0 * axy + a * c + b * d
+
+
 def _z_terms(params: XStateParams) -> tuple:
     """(F_z, tau, kappa) with the clipped radicands tau = (b+c)^2 - 4|x|^2
     and kappa = (a+d)^2 - 4|y|^2."""
@@ -301,7 +310,7 @@ def _equatorial_terms(params: XStateParams) -> tuple:
     the clipped radicand k = (ad - |y|^2)(bc - |x|^2)."""
     a, b, c, d = params.a, params.b, params.c, params.d
     xy = params.x * params.y
-    h_max = 2.0 * abs(xy) + a * c + b * d
+    h_max = _invariants(params)[2]
     k = max((a * d - abs(params.y) ** 2) * (b * c - abs(params.x) ** 2), 0.0)
     f = 0.5 + np.sqrt(max(h_max + 2.0 * np.sqrt(k), 0.0))
     free = abs(xy) <= BRANCH_TOL
@@ -339,33 +348,39 @@ def x_candidate_discord(params: XStateParams) -> tuple:
 
     Returns (DiscordResult, CandidateBreakdown).  When the two values
     agree within BRANCH_TOL both axes are listed, z first, with no
-    free-family tag.  The fidelity is a lower bound on the sphere
-    maximum (the reported discord an upper bound on the true discord);
-    it is exact whenever the optimal
+    free-family tag; this is the one tie rule between F_z and F_eq.
+    The fidelity is a lower bound on the sphere maximum (the reported
+    discord an upper bound on the true discord); it is exact whenever
+    the optimal
     measurement is axial or equatorial, which covers the full a=d, b=c
     family and the full-rank reference state a=b=1/3, c=d=x=y=1/6.  It
     can be strict when the optimum sits at an interior polar angle,
     full-rank states included: random X-states show gaps up to about
     1e-3 (demos/xstate_candidates.py).
     """
+    return _candidates(params)[:2]
+
+
+def _candidates(params: XStateParams) -> tuple:
+    """x_candidate_discord's (DiscordResult, CandidateBreakdown), then the
+    EquatorialCandidate they were built from."""
     f_axial, tau, kappa = _z_terms(params)
     eq, h_max, k = _equatorial_terms(params)
 
-    axial_dir = MeasurementDirection((0.0, 0.0, 1.0))
     equatorial_dir = MeasurementDirection.from_angles(np.pi / 2.0, eq.psi_opt)
     chosen = "axial" if f_axial >= eq.fidelity else "equatorial"
     family = None
     if abs(f_axial - eq.fidelity) <= BRANCH_TOL:
-        dirs = [axial_dir, equatorial_dir]
+        dirs = [_Z_AXIS, equatorial_dir]
     elif chosen == "axial":
-        dirs = [axial_dir]
+        dirs = [_Z_AXIS]
     else:
         dirs = [equatorial_dir]
         family = "free_psi" if eq.free_psi else None
     breakdown = CandidateBreakdown(f_axial, eq.fidelity, float(h_max), float(k),
                                    float(tau), float(kappa), chosen)
     result = make_result(max(f_axial, eq.fidelity), dirs, "x_candidates", family)
-    return result, breakdown
+    return result, breakdown, eq
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +404,6 @@ class CharPolyCoeffs:
     m_opt: float | None
 
 
-def _g_invariant(params: XStateParams) -> float:
-    a, b, c, d = params.a, params.b, params.c, params.d
-    ax2, ay2 = abs(params.x) ** 2, abs(params.y) ** 2
-    return (2.0 * (a * a + b * b + c * c + d * d) - 1.0
-            - 4.0 * (ax2 + ay2 - a * d - b * c)
-            - 8.0 * abs(params.x * params.y))
-
-
 def char_poly_coeffs(params: XStateParams, m: float, psi: float) -> CharPolyCoeffs:
     """Characteristic polynomial of L(u) at u = (sqrt(1-m^2) cos psi,
     sqrt(1-m^2) sin psi, m) in closed form.
@@ -413,19 +420,17 @@ def char_poly_coeffs(params: XStateParams, m: float, psi: float) -> CharPolyCoef
     ax2, ay2 = abs(params.x) ** 2, abs(params.y) ** 2
     n = np.sqrt(max(1.0 - m * m, 0.0)) * np.exp(1j * float(psi))
     h = 2.0 * np.real(n * n * params.x * params.y) + a * c + b * d
-    delta = c + d - a - b
+    g, delta, h_max = _invariants(params)
     t3 = m * delta
     t2 = m * m * (a * b - b * c - a * d + c * d + ax2 + ay2) - h
     t1 = m * ((a - d) * (b * c - ax2) + (b - c) * (a * d - ay2))
     t0 = (a * d - ay2) * (b * c - ax2)
 
-    g = _g_invariant(params)
     m_opt = None
     if g < 0.0 and delta < 0.0:
         denom = g * g - delta * delta * g
         if denom > 0.0:
-            bsum = 2.0 * abs(params.x * params.y) + a * c + b * d
-            m_opt = float(-2.0 * np.sqrt(max(bsum, 0.0)) * delta / np.sqrt(denom))
+            m_opt = float(-2.0 * np.sqrt(max(h_max, 0.0)) * delta / np.sqrt(denom))
     return CharPolyCoeffs(float(t3), float(t2), float(t1), float(t0),
                           float(g), float(delta), m_opt)
 
@@ -441,30 +446,9 @@ def lambda1_profile(params: XStateParams, m: float) -> tuple:
     not be attained by the fidelity objective.
     """
     m = _unit_interval("m", m)
-    a, b, c, d = params.a, params.b, params.c, params.d
-    g = _g_invariant(params)
-    delta = c + d - a - b
-    radicand = (m * m * g + 8.0 * abs(params.x * params.y)
-                + 4.0 * (a * c) + 4.0 * (b * d))
-    lam1 = 0.5 * (np.sqrt(max(radicand, 0.0)) - m * delta)
+    g, delta, h_max = _invariants(params)
+    lam1 = 0.5 * (np.sqrt(max(m * m * g + 4.0 * h_max, 0.0)) - m * delta)
     return float(lam1), float(g), float(delta)
-
-
-def _degenerate_preconditions(params: XStateParams) -> list:
-    """Failed-condition messages; empty when the rank-two closed form applies."""
-    a, b, c, d = params.a, params.b, params.c, params.d
-    ax, ay = abs(params.x), abs(params.y)
-    tol = DEGENERATE_PRECONDITION_TOL
-    det_both = abs(a * d - ay * ay) <= tol and abs(b * c - ax * ax) <= tol
-    outer_pinned = abs(a - d) <= tol and abs(ay - a) <= tol
-    inner_pinned = abs(b - c) <= tol and abs(ax - b) <= tol
-    if det_both or outer_pinned or inner_pinned:
-        return []
-    return [
-        f"ad - |y|^2 = {a * d - ay * ay!r} and bc - |x|^2 = {b * c - ax * ax!r} not both 0",
-        f"a = d = |y| fails: a - d = {a - d!r}, |y| - a = {ay - a!r}",
-        f"b = c = |x| fails: b - c = {b - c!r}, |x| - b = {ax - b!r}",
-    ]
 
 
 def degenerate_fidelity(params: XStateParams) -> tuple:
@@ -473,21 +457,32 @@ def degenerate_fidelity(params: XStateParams) -> tuple:
 
     On this subfamily the azimuth-optimized objective is monotone in
     m^2, so the maximum sits at an endpoint: the z axis (m = 1) or the
-    equator (m = 0).  Both endpoint values are evaluated exactly and
-    the larger returned.  Returns (F, m_opt, regime) where m_opt is
-    0.0, 1.0, or the pair (0.0, 1.0) on ties, and regime classifies the
-    signs of (g, delta): 'axial' g>=0/delta<0, 'equatorial'
+    equator (m = 0), the two candidate axes.  Returns (F, m_opt, regime)
+    where F is the candidate value, m_opt is 0.0, 1.0, or the pair
+    (0.0, 1.0) when the candidate lists both axes, and regime classifies
+    the signs of (g, delta): 'axial' g>=0/delta<0, 'equatorial'
     g<=0/delta>=0, 'either_endpoint' g>=0/delta>=0, 'interior' g<0/delta<0
     (where the printed interior stationary value overshoots the true
     objective; the endpoint maximum is returned there as well).
     """
-    failures = _degenerate_preconditions(params)
-    if failures:
-        raise PreconditionNotMet("; ".join(failures))
-    f_equator = x_fidelity_equatorial(params).fidelity
-    f_axis = x_fidelity_z(params)
-    g = _g_invariant(params)
-    delta = params.c + params.d - params.a - params.b
+    return _endpoint_rule(params, x_candidate_discord(params)[0])
+
+
+def _endpoint_rule(params: XStateParams, candidate) -> tuple:
+    """degenerate_fidelity from the candidate result of params."""
+    a, b, c, d = params.a, params.b, params.c, params.d
+    ax, ay = abs(params.x), abs(params.y)
+    tol = DEGENERATE_PRECONDITION_TOL
+    det_both = abs(a * d - ay * ay) <= tol and abs(b * c - ax * ax) <= tol
+    outer_pinned = abs(a - d) <= tol and abs(ay - a) <= tol
+    inner_pinned = abs(b - c) <= tol and abs(ax - b) <= tol
+    if not (det_both or outer_pinned or inner_pinned):
+        raise PreconditionNotMet("; ".join([
+            f"ad - |y|^2 = {a * d - ay * ay!r} and bc - |x|^2 = {b * c - ax * ax!r} not both 0",
+            f"a = d = |y| fails: a - d = {a - d!r}, |y| - a = {ay - a!r}",
+            f"b = c = |x| fails: b - c = {b - c!r}, |x| - b = {ax - b!r}",
+        ]))
+    g, delta, _ = _invariants(params)
     if g >= 0.0 and delta < 0.0:
         regime = "axial"
     elif g <= 0.0 and delta >= 0.0:
@@ -496,11 +491,9 @@ def degenerate_fidelity(params: XStateParams) -> tuple:
         regime = "either_endpoint"
     else:
         regime = "interior"
-    if abs(f_axis - f_equator) <= BRANCH_TOL:
-        return float(max(f_axis, f_equator)), (0.0, 1.0), regime
-    if f_axis > f_equator:
-        return float(f_axis), 1.0, regime
-    return float(f_equator), 0.0, regime
+    dirs = candidate.optimal_directions
+    m_opt = (0.0, 1.0) if len(dirs) == 2 else float(dirs[0] == _Z_AXIS)
+    return candidate.fidelity, m_opt, regime
 
 
 def bures_discord(rho, method: str = "auto") -> tuple:
@@ -528,18 +521,18 @@ def bures_discord(rho, method: str = "auto") -> tuple:
             raise InvalidParams(f"method={method} requires an X-shaped state") from None
         return max_fidelity_bruteforce(rho), ["bruteforce"], {"candidate_gap": None}
 
-    candidate, breakdown = x_candidate_discord(params)
+    candidate, breakdown, eq = _candidates(params)
     if method == "candidates":
         return candidate, ["candidates"], {"candidate_gap": None, "candidates": asdict(breakdown)}
     if method == "bruteforce":
         result, trail, block = max_fidelity_bruteforce(rho), "bruteforce", {}
     elif is_symmetric_family(params):
-        result, branch = symmetric_fidelity(params)
+        result, branch = _symmetric_case(params, breakdown.F_axial, eq)
         trail = "symmetric_family->symmetric_fidelity"
         block = {"symmetric_branch": asdict(branch)}
     else:
         try:
-            _, m_opt, regime = degenerate_fidelity(params)
+            _, m_opt, regime = _endpoint_rule(params, candidate)
         except PreconditionNotMet:
             if method == "closed":
                 raise

@@ -318,12 +318,11 @@ def max_fidelity_bruteforce(rho) -> DiscordResult:
 # closest classical state and discrimination quantities
 
 
-def _measurement_basis(direction: MeasurementDirection) -> tuple:
-    """The eigenvectors (alpha0, alpha1) of u . sigma for the outcomes +u and -u."""
-    theta, psi = direction.theta, direction.psi
-    alpha0 = np.array([np.cos(theta / 2.0), np.exp(1j * psi) * np.sin(theta / 2.0)])
-    alpha1 = np.array([-np.exp(-1j * psi) * np.sin(theta / 2.0), np.cos(theta / 2.0)])
-    return alpha0, alpha1
+def _outcome_projectors(direction: MeasurementDirection) -> tuple:
+    """(Pi_+ (x) I, Pi_- (x) I) with Pi_+- = (I +- u . sigma)/2, the
+    projectors of the measurement of qubit A along u."""
+    sigma = direction.sigma()
+    return np.kron((I2 + sigma) / 2.0, I2), np.kron((I2 - sigma) / 2.0, I2)
 
 
 def ccs_from_measurement(rho, direction: MeasurementDirection) -> CcsResult:
@@ -344,10 +343,8 @@ def ccs_from_measurement(rho, direction: MeasurementDirection) -> CcsResult:
     proj_top = top @ top.conj().T
     projectors = (proj_top, I4 - proj_top)
 
-    chi = np.zeros((4, 4), dtype=complex)
-    for alpha, proj in zip(_measurement_basis(direction), projectors):
-        sandwich = np.kron(np.outer(alpha, alpha.conj()), I2)
-        chi += sandwich @ root @ proj @ root @ sandwich
+    chi = sum(pi @ root @ proj @ root @ pi
+              for pi, proj in zip(_outcome_projectors(direction), projectors))
     chi = (chi + chi.conj().T) / 2.0
     chi /= np.trace(chi).real
     return CcsResult(chi, fidelity(rho, chi), degenerate)
@@ -358,8 +355,7 @@ def dephasing_residual(chi, direction: MeasurementDirection) -> float:
     of the measurement along u: zero exactly when chi is A-classical for
     u, that is unchanged by measuring qubit A along u."""
     chi = np.asarray(chi, dtype=complex)
-    sandwiches = [np.kron(np.outer(a, a.conj()), I2) for a in _measurement_basis(direction)]
-    return float(np.max(np.abs(sum(s @ chi @ s for s in sandwiches) - chi)))
+    return float(np.max(np.abs(sum(pi @ chi @ pi for pi in _outcome_projectors(direction)) - chi)))
 
 
 def helstrom_success(ensemble: QsdEnsemble) -> float:
@@ -373,25 +369,23 @@ def helstrom_success(ensemble: QsdEnsemble) -> float:
 
 def induced_ensemble(rho, direction: MeasurementDirection) -> QsdEnsemble:
     """Discrimination ensemble whose optimal success equals the fidelity
-    objective at u: priors <alpha_i| rho_A |alpha_i> and conditional
-    states from sqrt(rho) |alpha_i><alpha_i| (x) I sqrt(rho).
+    objective at u: priors tr[(Pi_i (x) I) rho] and conditional states
+    from sqrt(rho) (Pi_i (x) I) sqrt(rho), Pi_i the outcome projectors.
 
     A prior below 1e-12 is dropped: its state is replaced by I/4 at
     weight zero, so the success probability is the surviving prior.
     """
     rho = check_density_matrix(rho)
-    rho_a = partial_trace_B(rho)
     root = psd_sqrt(rho)
     priors = []
     conds = []
-    for alpha in _measurement_basis(direction):
-        weight = float(np.real(alpha.conj() @ rho_a @ alpha))
+    for pi in _outcome_projectors(direction):
+        weight = float(np.trace(pi @ rho).real)
         if weight < VANISHING_PRIOR:
             priors.append(0.0)
             conds.append(I4 / 4.0)
             continue
-        sandwich = np.kron(np.outer(alpha, alpha.conj()), I2)
-        conds.append(root @ sandwich @ root / weight)
+        conds.append(root @ pi @ root / weight)
         priors.append(weight)
     total = priors[0] + priors[1]
     priors = (priors[0] / total, priors[1] / total)

@@ -74,31 +74,26 @@ def herm_eig(hmat) -> EigenDecomposition:
     return EigenDecomposition(vals[order], vecs[:, order])
 
 
-def _clipped_sqrt_eigs(vals: np.ndarray) -> np.ndarray:
-    if vals.min() < -PSD_CLAMP:
-        raise NotPSD(f"eigenvalue {vals.min():.3e} below -{PSD_CLAMP:.0e}")
-    out = np.clip(vals, 0.0, None)
-    top = out.max(initial=0.0)
-    if top > 0.0:
-        out[out < EIG_REL_FLOOR * top] = 0.0
-    return np.sqrt(out)
-
-
 def psd_sqrt(rho) -> np.ndarray:
     """Hermitian square root of a PSD matrix; eigenvalues in [-1e-10, 0) clamp to zero."""
     dec = herm_eig(rho)
-    roots = _clipped_sqrt_eigs(dec.eigenvalues)
+    vals = dec.eigenvalues
+    if vals.min() < -PSD_CLAMP:
+        raise NotPSD(f"eigenvalue {vals.min():.3e} below -{PSD_CLAMP:.0e}")
+    vals = np.clip(vals, 0.0, None)
+    vals[vals < EIG_REL_FLOOR * vals.max(initial=0.0)] = 0.0
     vecs = dec.eigenvectors
-    return (vecs * roots) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity F(rho, sigma) = [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2, clipped to [0, 1]."""
-    sigma = require_hermitian(sigma)
-    root = psd_sqrt(rho)
-    inner = root @ sigma @ root
-    dec = herm_eig((inner + inner.conj().T) / 2.0)
-    total = float(np.sum(_clipped_sqrt_eigs(dec.eigenvalues)))
+    """Uhlmann fidelity F(rho, sigma) = (tr |sqrt(rho) sqrt(sigma)|)^2, clipped to [0, 1].
+
+    The trace norm is the sum of singular values, so no eigenvalue floor
+    drops the small terms that nearly singular states carry.  sigma goes
+    through psd_sqrt as well: a non-PSD sigma raises NotPSD.
+    """
+    total = float(np.sum(np.linalg.svd(psd_sqrt(rho) @ psd_sqrt(sigma), compute_uv=False)))
     return float(np.clip(total * total, 0.0, 1.0))
 
 

@@ -12,9 +12,9 @@ most 1e-10).
 The z-axis CCS is diagonal, so its fidelity with an X-state splits into
 the two 2x2 blocks of sqrt(chi) rho sqrt(chi), each with
 tr sqrt(M) = sqrt(tr M + 2 sqrt(det M)).  That value stays exact up to
-rounding where rho is a hair from singular; linalg.fidelity zeroes the
-eigenvalues of sqrt(rho) chi sqrt(rho) below EIG_REL_FLOOR and can be
-off by ~2e-7 there.
+rounding where rho is a hair from singular.  linalg.fidelity, a sum of
+singular values of sqrt(rho) sqrt(chi), is checked against F_z there
+separately.
 """
 
 import numpy as np
@@ -81,6 +81,20 @@ def test_z_axis_ccs_near_pinned_inner_block(rng_seed, log_eps):
     # |x| = b (1 - eps) straddles DEGENERATE_PRECONDITION_TOL on |x| - b
     p = random_degenerate_params(np.random.default_rng(rng_seed), "bc")
     check_z_axis_ccs(XStateParams(p.a, p.b, p.c, p.d, p.x * (1.0 - 10.0 ** log_eps), p.y))
+
+
+def test_fidelity_check_near_pinned_inner_block():
+    # |x| = b (1 - 1e-12): rho has eigenvalues ~1e-13, and the square roots
+    # of the small eigenvalues of sqrt(rho) chi sqrt(rho) carry ~1e-7 of
+    # tr sqrt(.); flooring them put fidelity_check up to 1.4e-7 off F_z
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(200):
+        p = random_degenerate_params(rng, "bc")
+        p = XStateParams(p.a, p.b, p.c, p.d, p.x * (1.0 - 1e-12), p.y)
+        ccs = ccs_from_measurement(x_state(p), Z_AXIS)
+        worst = max(worst, abs(ccs.fidelity_check - x_fidelity_z(p)))
+    assert worst <= 1e-9
 
 
 def test_z_axis_ccs_bell():

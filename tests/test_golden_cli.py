@@ -13,6 +13,10 @@ not unique.
 Regenerate the expected outputs (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+This rewrites only the expected files whose fresh output fails the
+comparison above, rewrites exit_codes.json only when an exit code
+changed, and prints the names of the files it rewrote.
 """
 
 from __future__ import annotations
@@ -70,14 +74,24 @@ def expected_path(name: str) -> Path:
     return EXPECTED / f"{name}.txt"
 
 
-def regenerate() -> None:
-    codes = {}
+def regenerate() -> list:
+    """Rewrite the expected files that check_case rejects; return their names."""
+    codes_path = EXPECTED / "exit_codes.json"
+    want_codes = json.loads(codes_path.read_text()) if codes_path.exists() else {}
+    codes, rewritten = {}, []
     for name, argv in CASES.items():
         code, out, err = run_case(argv)
         codes[name] = code
-        with open(expected_path(name), "w", encoding="utf-8", newline="") as handle:
-            handle.write(out if code == 0 else err)
-    (EXPECTED / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+        try:
+            check_case(name, code, out, err, want_codes)
+        except (AssertionError, KeyError, OSError, ValueError):
+            with open(expected_path(name), "w", encoding="utf-8", newline="") as handle:
+                handle.write(out if code == 0 else err)
+            rewritten.append(expected_path(name).name)
+    if codes != want_codes:
+        codes_path.write_text(json.dumps(codes, indent=2) + "\n")
+        rewritten.append(codes_path.name)
+    return rewritten
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +192,11 @@ def compare_verify(got_text: str, want_text: str) -> None:
     compare_json(got_json, want_json)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_case(name):
-    codes = json.loads((EXPECTED / "exit_codes.json").read_text())
+def check_case(name: str, code: int, out: str, err: str, codes: dict) -> None:
+    """Assert that one run of case name matches its expected output and
+    exit code within the tolerances above."""
     with open(expected_path(name), encoding="utf-8", newline="") as handle:
         want = handle.read()
-    code, out, err = run_case(CASES[name])
     assert code == codes[name]
     if code != 0:
         assert out == ""
@@ -199,6 +212,15 @@ def test_golden_case(name):
         compare_json(json.loads(out), json.loads(want))
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_case(name):
+    codes = json.loads((EXPECTED / "exit_codes.json").read_text())
+    check_case(name, *run_case(CASES[name]), codes)
+
+
 if __name__ == "__main__":
-    regenerate()
+    rewritten = regenerate()
+    for name in rewritten:
+        print(name)
+    print(f"{len(rewritten)} files rewritten")
     sys.exit(0)

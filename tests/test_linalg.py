@@ -162,6 +162,12 @@ class TestFidelity:
         w = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
         assert abs(fidelity(np.outer(v, v), np.outer(w, w)) - 0.5) < 1e-12
 
+    def test_rejects_non_psd_sigma(self):
+        # sigma goes through psd_sqrt, like rho, even where its negative
+        # eigenvalue lies in the kernel of rho
+        with pytest.raises(NotPSD):
+            fidelity(np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.6, 0.5, 0.2, -0.3]))
+
 
 class TestBuresDistance:
     def test_identical_states(self):
