@@ -6,17 +6,17 @@ for a measurement axis u on qubit A, the fidelity objective
     F(u) = (1 - tr L(u) + 2 (l1 + l2)) / 2
 
 with l1 >= l2 >= ... the eigenvalues of L(u), its maximum over the
-Bloch sphere (computed by grid scan plus compass-search refinement, the
-reference oracle for every closed form), the closest A-classical state
-assembled from the top-two spectral projector of L(u), the exact
+Bloch sphere (a certified branch-and-bound, the reference oracle for
+every closed form), the closest A-classical state assembled from the
+top-two spectral projector of L(u), the exact
 dephasing residual that certifies a state A-classical along an axis,
 and the minimal-error discrimination quantities that make F(u) a
 two-state discrimination problem.  An entropy-based discord is included
 as an independent cross-check path.
 
 Both sphere objectives are even in u: L(-u) = -L(u) leaves F unchanged,
-and -u is the same measurement with its outcomes swapped.  So the scan
-evaluates only the upper hemisphere of its grid and mirrors the rest.
+and -u is the same measurement with its outcomes swapped.  So both
+sphere searches evaluate the upper hemisphere only.
 """
 
 from __future__ import annotations
@@ -44,11 +44,24 @@ DEGENERATE_PROJECTOR_TOL = 1e-10
 OPTIMUM_CLUSTER_TOL = 1e-7
 VANISHING_PRIOR = 1e-12
 FREE_FAMILY_MIN_SIN = 0.1
+OPTIMA_MIN_ANGLE = 0.1     # radians, up to sign, between two reported optima
 
-# sphere-search resolution: a 64 x 128 scan of (theta, psi), then at most
-# REFINE_ITERS compass-search iterations from the best five cells.  The
-# scan is antipodal (theta_{63-i} = pi - theta_i, psi_{j+64} = psi_j + pi),
-# so its lower half mirrors the evaluated upper half, SCAN_CELLS
+# max_fidelity_bruteforce's branch-and-bound (BNB_EPS on F), its budgets, the
+# most rows per eigvalsh call, and the rounding allowance of a computed g = 2F - 1
+BNB_EPS = 1e-12
+FAMILY_BUDGET = 2048
+MAX_EVALS = 8192
+EIG_BATCH = 4096
+WEYL_MARGIN = 64 * np.finfo(float).eps
+_OCTAHEDRON = np.vstack([np.eye(3)[:2], -np.eye(3)[:2], np.eye(3)[2]])   # +x, +y, -x, -y, +z
+_UPPER_FACES = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+# the children of (t0, t1, t2) as columns of (t0, t1, t2, m01, m12, m20), m_ij midpoints
+_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
+
+# entropic_discord's search (its objective is not convex): a 64 x 128 scan
+# of (theta, psi), then at most REFINE_ITERS compass-search iterations from
+# the best five cells.  The scan is antipodal (theta_{63-i} = pi - theta_i,
+# psi_{j+64} = psi_j + pi), so it evaluates the upper half, SCAN_CELLS.
 THETA_AXIS = np.linspace(0.0, np.pi, 64)
 PSI_AXIS = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
 REFINE_ITERS = 200
@@ -95,26 +108,30 @@ class DiscordResult:
     """Outcome of a fidelity maximization: F, the discord 2(1 - sqrt(F)),
     the achieving direction(s), which method produced it, and a flag for
     optima forming a continuous family ('free_psi', 'free_theta',
-    'free_sphere') rather than isolated points."""
+    'free_sphere') rather than isolated points.  fidelity_upper, set by
+    max_fidelity_bruteforce only, bounds F at every axis."""
 
     fidelity: float
     discord: float
     optimal_directions: tuple
     method: str
     degenerate_family: str | None = None
+    fidelity_upper: float | None = None
 
 
 def discord_from_fidelity(f: float) -> float:
     return 2.0 * (1.0 - np.sqrt(np.clip(f, 0.0, 1.0)))
 
 
-def make_result(f: float, directions, method: str, degenerate_family: str | None = None) -> DiscordResult:
+def make_result(f: float, directions, method: str, degenerate_family: str | None = None,
+                fidelity_upper: float | None = None) -> DiscordResult:
     return DiscordResult(
         fidelity=float(f),
         discord=discord_from_fidelity(f),
         optimal_directions=tuple(directions),
         method=method,
         degenerate_family=degenerate_family,
+        fidelity_upper=fidelity_upper,
     )
 
 
@@ -177,23 +194,29 @@ def _directions(thetas: np.ndarray, psis: np.ndarray) -> np.ndarray:
 
 
 def _objective_batch_factory(rho):
-    """Vectorized map from (N, 2) angle rows to -F(u); shares sqrt(rho) work.
+    """Vectorized map from (N, 3) unit vectors to g(u) = 2 F(u) - 1; shares sqrt(rho) work.
 
     The three blocks L(x), L(y), L(z) are Hermitised once, so every
-    L(u) = u . (L(x), L(y), L(z)) is Hermitian by construction and the
-    whole batch is one (N, 3) @ (3, 16) product.
+    L(u) = u . (L(x), L(y), L(z)) is Hermitian by construction and a batch
+    is one (N, 3) @ (3, 16) product, eigensolved EIG_BATCH rows at a time.
     """
     root = psd_sqrt(rho)
     blocks = np.stack([root @ np.kron(s, I2) @ root for s in PAULI])
     base = ((blocks + np.conj(np.swapaxes(blocks, 1, 2))) / 2.0).reshape(3, 16)
 
-    def neg_fidelity(tp: np.ndarray) -> np.ndarray:
-        lam = (_directions(tp[:, 0], tp[:, 1]) @ base).reshape(-1, 4, 4)
-        w = np.linalg.eigvalsh(lam)
-        f = 0.5 * (1.0 - w.sum(axis=1) + 2.0 * (w[:, -1] + w[:, -2]))
-        return -f
+    def objective(u: np.ndarray) -> np.ndarray:
+        out = np.empty(u.shape[0])
+        for lo in range(0, u.shape[0], EIG_BATCH):
+            w = np.linalg.eigvalsh((u[lo:lo + EIG_BATCH] @ base).reshape(-1, 4, 4))
+            out[lo:lo + EIG_BATCH] = w[:, 3] + w[:, 2] - w[:, 1] - w[:, 0]
+        return out
 
-    return neg_fidelity
+    return objective
+
+
+def _angle_objective(objective):
+    """-objective as a map from (N, 2) (theta, psi) rows, for the compass search."""
+    return lambda tp: -objective(_directions(tp[:, 0], tp[:, 1]))
 
 
 def _compass_batch(fn, starts: np.ndarray, steps):
@@ -238,80 +261,117 @@ def _mirror_scan(upper: np.ndarray) -> np.ndarray:
 
 def _sphere_minimize(fn):
     """Grid scan plus compass refinement of an even batched objective on
-    the sphere, fn(u) = fn(-u).
+    the sphere, fn(u) = fn(-u); entropic_discord's search.
 
-    Returns (refined_points, refined_values, grid_values).  fn is called
-    on the upper-hemisphere cells SCAN_CELLS only; the lower half of
-    grid_values is their mirror image.  A cell and its mirror tie
-    exactly, and the stable sort puts the evaluated cell first, so the
-    first search starts at an evaluated best cell, whose value it
-    re-evaluates bit for bit.  A compass search moves only to strictly
-    lower points, so the refined minimum is never above the scanned
-    minimum and needs no grid fallback.
+    Returns (refined_points, refined_values).  fn is called on the cells
+    SCAN_CELLS only; the lower half of the grid is their mirror image.  A
+    cell and its mirror tie exactly, and the stable sort puts the
+    evaluated cell first, so the first search starts at an evaluated best
+    cell.  A compass search moves only to strictly lower points, so the
+    refined minimum is never above the scanned minimum.
     """
     grid_vals = _mirror_scan(fn(SCAN_CELLS))
-
     starts = SCAN_POINTS[np.argsort(grid_vals.ravel(), kind="stable")[:5]]
     steps = (0.5 * np.pi / THETA_AXIS.size, np.pi / PSI_AXIS.size)
-    pts, vals = _compass_batch(fn, starts, steps)
-    return pts, vals, grid_vals
+    return _compass_batch(fn, starts, steps)
 
 
-def _cluster_optima(pts: np.ndarray, vals: np.ndarray, best_val: float) -> list:
-    """Deduplicated directions whose refined value ties the best within tolerance."""
-    chosen = []
-    for tp, v in zip(pts, vals):
-        if v > best_val + OPTIMUM_CLUSTER_TOL:
-            continue
-        d = MeasurementDirection.from_angles(*tp)
-        if all(np.linalg.norm(np.subtract(d.u, e.u)) > 1e-5 for e in chosen):
-            chosen.append(d)
-    chosen.sort(key=lambda m: (round(m.theta, 9), round(m.psi, 9)))
-    return chosen
-
-
-def _detect_free_family(fn, grid_vals, best_val, best_tp):
-    """Classify continuous minimum families of fn: a psi circle, a theta
-    arc, or the whole sphere.  The grid decides the whole-sphere case; the
-    circle and arc are re-evaluated through the refined minimum, since
-    grid rows sit slightly off it.  At a pole psi is arbitrary, so the arc
-    is found by a compass search in psi along scan row 1, next to the
-    pole, from the best cell of that row."""
-    if np.all(grid_vals <= best_val + OPTIMUM_CLUSTER_TOL):
+def _detect_free_family(objective, vals, best_u):
+    """Classify a family of maxima of g from its values vals at every
+    evaluated point and the best point best_u: the whole sphere when all
+    tie, else a psi circle through best_u, else a theta arc.  At a pole
+    psi is arbitrary, so the arc's psi comes from a compass search along
+    the row theta = THETA_AXIS[1], from that row's best point."""
+    floor = vals.max() - 2.0 * OPTIMUM_CLUSTER_TOL
+    if np.all(vals >= floor):
         return "free_sphere"
-    best = MeasurementDirection.from_angles(*best_tp)
+    best = MeasurementDirection(tuple(best_u))
     if np.sin(best.theta) >= FREE_FAMILY_MIN_SIN:
         psi_opt = best.psi
-        circle = fn(np.column_stack([np.full_like(PSI_AXIS, best.theta), PSI_AXIS]))
-        if np.all(circle <= best_val + OPTIMUM_CLUSTER_TOL):
+        if np.all(objective(_directions(np.full_like(PSI_AXIS, best.theta), PSI_AXIS)) >= floor):
             return "free_psi"
     else:
-        start = np.array([[THETA_AXIS[1], PSI_AXIS[np.argmin(grid_vals[1])]]])
-        pts, _ = _compass_batch(fn, start, (0.0, np.pi / PSI_AXIS.size))
+        row = objective(_directions(np.full_like(PSI_AXIS, THETA_AXIS[1]), PSI_AXIS))
+        start = np.array([[THETA_AXIS[1], PSI_AXIS[np.argmax(row)]]])
+        pts, _ = _compass_batch(_angle_objective(objective), start, (0.0, np.pi / PSI_AXIS.size))
         psi_opt = pts[0, 1]
-    arc = fn(np.column_stack([THETA_AXIS, np.full_like(THETA_AXIS, psi_opt)]))
-    if np.all(arc <= best_val + OPTIMUM_CLUSTER_TOL):
+    if np.all(objective(_directions(THETA_AXIS, np.full_like(THETA_AXIS, psi_opt))) >= floor):
         return "free_theta"
     return None
 
 
-def max_fidelity_bruteforce(rho) -> DiscordResult:
-    """Maximize the fidelity objective over all measurement axes.
+def _triangle_bounds(verts: np.ndarray, vals: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Upper bound on g over each spherical triangle (rows of vertex
+    indices): max_i g(v_i)/h, h the distance from the origin to the plane
+    of the unit vertices v_i, capped at g <= 1, plus WEYL_MARGIN."""
+    a, b, c = verts[tris.T]
+    (px, py, pz), (qx, qy, qz) = (b - a).T, (c - a).T
+    normal = np.stack([py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx], axis=1)
+    h = np.abs(np.einsum("ti,ti->t", normal, a)) / np.sqrt(np.einsum("ti,ti->t", normal, normal))
+    return np.minimum(vals[tris].max(axis=1) / h, 1.0) + WEYL_MARGIN
 
-    The objective is even, F(u) = F(-u), for every state: L(-u) = -L(u)
-    and both sides equal (1 + l1 + l2 - l3 - l4)/2.  So the fixed
-    64 x 128 (theta, psi) scan evaluates its upper half (4096 cells) and
-    mirrors the lower half; the search then refines from the best five
-    cells with at most 200 compass-search iterations and reports every
-    refined direction tying the maximum.
+
+def max_fidelity_bruteforce(rho) -> DiscordResult:
+    """Maximize F over all measurement axes: fidelity is F at the best
+    evaluated axis, and fidelity_upper >= F at every axis.
+
+    F = (1 + g)/2, g(u) = l1 + l2 - l3 - l4 of L(u) = the largest
+    tr[(2P - I) L(u)] over rank-two projectors P, so g is convex, even
+    and positively 1-homogeneous.  On a spherical triangle, u = w/|w| with
+    w on the flat triangle of its vertices v_i and |w| >= h, the plane's
+    distance from 0: g(u) <= max_i g(v_i)/h.  From the octahedron's four
+    upper faces, each level drops the triangles bounded by the best vertex
+    value plus 2 BNB_EPS, splits the rest into four at normalised edge
+    midpoints and evaluates the new vertices in one batch.  An empty
+    frontier certifies fidelity_upper - fidelity <= BNB_EPS (for the
+    computed sqrt(rho)); at FAMILY_BUDGET evaluations the free-family
+    rules run once, and a family, or a next level past MAX_EVALS (after a
+    compass search from the best vertex), returns the honest, wider
+    interval of the open triangles.  The axes within OPTIMUM_CLUSTER_TOL
+    of the best, OPTIMA_MIN_ANGLE apart up to sign, are reported as pairs
+    u, -u; a family gets one pair.
     """
     rho = check_density_matrix(rho)
-    fn = _objective_batch_factory(rho)
-    pts, vals, grid_vals = _sphere_minimize(fn)
-    best = int(np.argmin(vals))
-    directions = _cluster_optima(pts, vals, vals[best])
-    family = _detect_free_family(fn, grid_vals, vals[best], pts[best])
-    return make_result(-vals[best], directions, "bruteforce", family)
+    objective = _objective_batch_factory(rho)
+    verts, tris = _OCTAHEDRON, _UPPER_FACES
+    vals = objective(verts)
+    upper, family, checked = -np.inf, None, False
+    while True:
+        bounds = _triangle_bounds(verts, vals, tris)
+        live = bounds > vals.max() + 2.0 * BNB_EPS
+        upper = max(upper, bounds.max(initial=-np.inf, where=~live))
+        tris = tris[live]
+        if tris.shape[0] == 0:
+            family = "free_sphere" if np.all(vals >= vals.max() - 2.0 * OPTIMUM_CLUSTER_TOL) else None
+            break
+        if not checked and vals.size >= FAMILY_BUDGET:
+            checked, family = True, _detect_free_family(objective, vals, verts[np.argmax(vals)])
+            if family is not None:
+                break
+        n = verts.shape[0]
+        edges = np.sort(tris[:, [[0, 1], [1, 2], [2, 0]]], axis=2)
+        keys, slot = np.unique(edges[..., 0] * n + edges[..., 1], return_inverse=True)
+        if vals.size + keys.size > MAX_EVALS:
+            best = MeasurementDirection(tuple(verts[np.argmax(vals)]))
+            step = np.linalg.norm(verts[tris[0, 0]] - verts[tris[0, 1]])
+            pts, neg = _compass_batch(_angle_objective(objective), [[best.theta, best.psi]], (step, step))
+            verts, vals = np.vstack([verts, _directions(pts[:, 0], pts[:, 1])]), np.append(vals, -neg)
+            break
+        mids = verts[keys // n] + verts[keys % n]
+        mids /= np.linalg.norm(mids, axis=1)[:, None]
+        tris = np.hstack([tris, n + slot.reshape(-1, 3)])[:, _CHILDREN].reshape(-1, 3)
+        verts, vals = np.vstack([verts, mids]), np.append(vals, objective(mids))
+
+    order = np.argsort(-vals, kind="stable")
+    ties = verts[order[vals[order] >= vals[order[0]] - 2.0 * OPTIMUM_CLUSTER_TOL]]
+    chosen = []
+    while ties.shape[0] and not (family and chosen):
+        chosen.append(ties[0])
+        ties = ties[np.abs(ties @ ties[0]) < np.cos(OPTIMA_MIN_ANGLE)]
+    pairs = [MeasurementDirection(tuple(sign * u)) for u in chosen for sign in (1.0, -1.0)]
+    pairs.sort(key=lambda m: (round(m.theta, 9), round(m.psi, 9)))
+    return make_result(0.5 * (1.0 + vals.max()), pairs, "bruteforce", family,
+                       fidelity_upper=float(0.5 * (1.0 + max(upper, bounds.max()))))
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +496,13 @@ def entropic_discord(rho) -> tuple:
     """Entropy-based classical correlation and discord.
 
     classical_corr = S(rho_B) - min over axes of the average conditional
-    entropy of B, found by the same fixed sphere search as
-    max_fidelity_bruteforce; discord = mutual information - classical_corr.
-    The average entropy is even in u (-u is the same measurement with its
-    outcomes swapped), so the scan evaluates the upper hemisphere only.
+    entropy of B, found by _sphere_minimize (the objective is not convex);
+    discord = mutual information - classical_corr.  The average entropy is
+    even in u (-u is the same measurement with its outcomes swapped), so
+    the scan evaluates the upper hemisphere only.
     """
     rho = check_density_matrix(rho)
     fn = _conditional_entropy_factory(rho)
-    _, vals, _ = _sphere_minimize(fn)
+    _, vals = _sphere_minimize(fn)
     classical = von_neumann_entropy(partial_trace_A(rho)) - float(vals.min())
     return float(classical), float(mutual_information(rho) - classical)

@@ -7,10 +7,14 @@ from numpy.testing import assert_allclose
 
 import buresdiscord.discord_core as discord_core
 from buresdiscord.discord_core import (
+    BNB_EPS,
+    EIG_BATCH,
+    MAX_EVALS,
     SCAN_CELLS,
     SCAN_POINTS,
     MeasurementDirection,
     QsdEnsemble,
+    _angle_objective,
     _compass_batch,
     _conditional_entropy_factory,
     _directions,
@@ -143,7 +147,8 @@ class TestObjective:
         for rho in [random_state(rng), x_state(random_degenerate_params(rng, kind="bc"))]:
             tp = SCAN_POINTS[rng.choice(SCAN_POINTS.shape[0], 40, replace=False)]
             single = [fidelity_at_direction(rho, MeasurementDirection.from_angles(t, p)) for t, p in tp]
-            assert_allclose(-_objective_batch_factory(rho)(tp), single, rtol=0.0, atol=1e-13)
+            g = _objective_batch_factory(rho)(_directions(tp[:, 0], tp[:, 1]))
+            assert_allclose(0.5 * (1.0 + g), single, rtol=0.0, atol=1e-13)
 
     def test_at_least_half(self):
         rng = np.random.default_rng(9)
@@ -218,8 +223,8 @@ class TestBruteForce:
         assert abs(res.discord - 2.0 * (1.0 - np.sqrt(res.fidelity))) < 1e-12
 
     def test_never_below_best_scan_cell(self):
-        # the refinement starts at the best evaluated scan cell and never
-        # loses it, so the reported maximum is at least F there, bit for bit
+        # the certified interval holds every scan cell: fidelity_upper is
+        # above each and the certified maximum at most BNB_EPS below the best
         rng = np.random.default_rng(17)
         arc = XStateParams(0.35, 0.15, 0.15, 0.35, 0.12 * np.exp(0.7j), 0.08 * np.exp(-0.3j))
         states = ([x_state(random_x_params(rng)) for _ in range(4)]
@@ -227,23 +232,54 @@ class TestBruteForce:
                   + [x_state(werner_params(w)) for w in (0.0, 0.3, 1.0)]
                   + [x_state(arc)])
         for rho in states:
-            best_cell = -_objective_batch_factory(rho)(SCAN_CELLS).min()
-            assert max_fidelity_bruteforce(rho).fidelity >= best_cell
+            best_cell = 0.5 * (1.0 - _angle_objective(_objective_batch_factory(rho))(SCAN_CELLS).min())
+            res = max_fidelity_bruteforce(rho)
+            assert res.fidelity >= best_cell - BNB_EPS
+            assert res.fidelity_upper >= best_cell
 
     def test_scan_evaluates_the_upper_half_only(self, monkeypatch):
+        # entropic_discord is the one caller of the grid scan
         batches = []
 
         def counting_factory(rho):
-            fn = _objective_batch_factory(rho)
+            fn = _conditional_entropy_factory(rho)
 
             def counted(tp):
                 batches.append(tp.shape[0])
                 return fn(tp)
             return counted
 
-        monkeypatch.setattr(discord_core, "_objective_batch_factory", counting_factory)
-        max_fidelity_bruteforce(x_state(random_x_params(np.random.default_rng(18))))
+        monkeypatch.setattr(discord_core, "_conditional_entropy_factory", counting_factory)
+        entropic_discord(x_state(random_x_params(np.random.default_rng(18))))
         assert batches[0] == 4096 == SCAN_POINTS.shape[0] // 2
+
+    def test_branch_and_bound_batches(self, monkeypatch):
+        # the first batch is the five upper octahedron vertices, eigvalsh
+        # never takes more than EIG_BATCH rows, and a random X-state stays
+        # under MAX_EVALS evaluations
+        batches, eig_rows = [], []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_factory(rho):
+            fn = _objective_batch_factory(rho)
+
+            def counted(u):
+                batches.append(u.copy())
+                return fn(u)
+            return counted
+
+        def counting_eigvalsh(a):
+            eig_rows.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(discord_core, "_objective_batch_factory", counting_factory)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        max_fidelity_bruteforce(x_state(random_x_params(np.random.default_rng(18))))
+        assert_allclose(batches[0], [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1]])
+        assert sum(b.shape[0] for b in batches) < MAX_EVALS
+        fn = _objective_batch_factory(random_state(np.random.default_rng(19)))
+        fn(np.tile([0.0, 0.0, 1.0], (EIG_BATCH + 3, 1)))
+        assert max(eig_rows) == EIG_BATCH == 4096 and eig_rows[-1] == 3
 
     def test_free_theta_arc_through_a_pole(self):
         # the refined optimum of a boundary state lands on a pole, where psi
@@ -316,7 +352,7 @@ class TestCompassSearch:
 
     def test_never_above_its_start(self):
         rng = np.random.default_rng(22)
-        fn = _objective_batch_factory(random_state(rng))
+        fn = _angle_objective(_objective_batch_factory(random_state(rng)))
         starts = np.column_stack([rng.uniform(0.0, np.pi, 20), rng.uniform(0.0, 2.0 * np.pi, 20)])
         _, vals = _compass_batch(fn, starts, (0.3, 0.3))
         assert np.all(vals <= fn(starts))
@@ -327,7 +363,11 @@ class TestMirroredScan:
         u = _directions(SCAN_POINTS[:, 0], SCAN_POINTS[:, 1]).reshape(64, 128, 3)
         assert_allclose(u[::-1], -np.roll(u, 64, axis=1), rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("factory", [_objective_batch_factory, _conditional_entropy_factory])
+    @pytest.mark.parametrize("factory", [
+        pytest.param(lambda rho: _angle_objective(_objective_batch_factory(rho)),
+                     id="_objective_batch_factory"),
+        _conditional_entropy_factory,
+    ])
     def test_mirrored_half_matches_direct_scan(self, factory):
         # both objectives are even in u, so the lower half of a direct full
         # scan equals the mirror image of the upper half
