@@ -17,6 +17,24 @@ as an independent cross-check path.
 Both sphere objectives are even in u: L(-u) = -L(u) leaves F unchanged,
 and -u is the same measurement with its outcomes swapped.  So both
 sphere searches evaluate the upper hemisphere only.
+
+An exactly X-shaped state (its eight off-X entries are 0.0) has two more
+symmetries, so both searches cover one octant, the one spanned by
+e1 = (cos psi0, sin psi0, 0), e2 = (-sin psi0, cos psi0, 0) and e3 = z,
+with psi0 = -arg(rho_12 rho_03)/2 (0 when rho_12 rho_03 = 0, where rho
+is symmetric under every rotation about z).  Either objective takes the
+same value at the eight sign flips of u in that frame, because:
+- rho commutes with Z = sigma_z (x) sigma_z, so Z L(u) Z = L(R u) and the
+  conditional states at u and R u are unitarily equivalent (R the
+  rotation by pi about z);
+- rho* = W^dag rho W for a diagonal product W = w_A (x) w_B,
+  w_A = diag(1, e^{2 i psi0}), so L(u)* is unitarily similar to L(M u)
+  and the conditional states at M u are those at u conjugated (M the
+  reflection in the meridian plane at psi0);
+- u -> -u, as above.
+R, M and -1 generate the eight sign flips.  The certificate of
+max_fidelity_bruteforce adds a per-state margin for the rounding of the
+blocks L(x), L(y), L(z) that the first two use (_symmetry_margin).
 """
 
 from __future__ import annotations
@@ -55,6 +73,7 @@ EIG_BATCH = 4096
 WEYL_MARGIN = 64 * np.finfo(float).eps
 _OCTAHEDRON = np.vstack([np.eye(3)[:2], -np.eye(3)[:2], np.eye(3)[2]])   # +x, +y, -x, -y, +z
 _UPPER_FACES = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+_OCTANT_FACE = np.array([[0, 1, 2]])    # the rows of an octant frame
 # the children of (t0, t1, t2) as columns of (t0, t1, t2, m01, m12, m20), m_ij midpoints
 _CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 
@@ -67,6 +86,14 @@ PSI_AXIS = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
 REFINE_ITERS = 200
 SCAN_POINTS = np.stack(np.meshgrid(THETA_AXIS, PSI_AXIS, indexing="ij"), axis=-1).reshape(-1, 2)
 SCAN_CELLS = SCAN_POINTS[: SCAN_POINTS.shape[0] // 2]
+# the octant scan of an X-state: the same 32 rows, at psi0 + j pi/64 for
+# j = 0 ... 32, both edge meridians included
+OCTANT_PSI_STEPS = np.arange(PSI_AXIS.size // 4 + 1) * (2.0 * np.pi / PSI_AXIS.size)
+
+# the entries off the X pattern, sigma_z (x) sigma_z, and the sign flips of an octant frame
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+_ZZ = np.array([1.0, -1.0, -1.0, 1.0])
+_SIGN_FLIPS = np.array([[i, j, k] for i in (1.0, -1.0) for j in (1.0, -1.0) for k in (1.0, -1.0)])
 
 
 @dataclass(frozen=True)
@@ -193,16 +220,22 @@ def _directions(thetas: np.ndarray, psis: np.ndarray) -> np.ndarray:
     return np.stack([st * np.cos(psis), st * np.sin(psis), np.cos(thetas)], axis=-1)
 
 
-def _objective_batch_factory(rho):
-    """Vectorized map from (N, 3) unit vectors to g(u) = 2 F(u) - 1; shares sqrt(rho) work.
-
-    The three blocks L(x), L(y), L(z) are Hermitised once, so every
-    L(u) = u . (L(x), L(y), L(z)) is Hermitian by construction and a batch
-    is one (N, 3) @ (3, 16) product, eigensolved EIG_BATCH rows at a time.
-    """
+def _lambda_blocks(rho) -> np.ndarray:
+    """The Hermitised blocks L(x), L(y), L(z) of rho as a (3, 4, 4) array."""
     root = psd_sqrt(rho)
     blocks = np.stack([root @ np.kron(s, I2) @ root for s in PAULI])
-    base = ((blocks + np.conj(np.swapaxes(blocks, 1, 2))) / 2.0).reshape(3, 16)
+    return (blocks + np.conj(np.swapaxes(blocks, 1, 2))) / 2.0
+
+
+def _objective_batch_factory(blocks):
+    """Vectorized map from (N, 3) unit vectors to g(u) = 2 F(u) - 1, from
+    the blocks of _lambda_blocks.
+
+    Every L(u) = u . (L(x), L(y), L(z)) is Hermitian by construction, and
+    a batch is one (N, 3) @ (3, 16) product, eigensolved EIG_BATCH rows at
+    a time.
+    """
+    base = blocks.reshape(3, 16)
 
     def objective(u: np.ndarray) -> np.ndarray:
         out = np.empty(u.shape[0])
@@ -212,6 +245,48 @@ def _objective_batch_factory(rho):
         return out
 
     return objective
+
+
+def _x_meridian(rho):
+    """psi0 = -arg(rho_12 rho_03)/2 when rho is exactly X-shaped (its eight
+    off-X entries are 0.0), else None."""
+    if np.any(rho[_OFF_X]):
+        return None
+    return -0.5 * float(np.angle(rho[1, 2] * rho[0, 3]))
+
+
+def _octant_frame(psi0: float) -> np.ndarray:
+    """The rows e1, e2, e3 that span the octant searched for an X-state."""
+    c, s = np.cos(psi0), np.sin(psi0)
+    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _octant_images(points: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The eight sign flips in the frame of each (N, 3) point, as (8 N, 3)
+    rows, each point's own image first."""
+    return (((points @ frame.T)[:, None, :] * _SIGN_FLIPS) @ frame).reshape(-1, 3)
+
+
+def _symmetry_margin(rho, psi0: float, blocks: np.ndarray) -> float:
+    """A bound on |g(S u) - g(u)| over the eight sign flips S of the
+    octant frame at psi0, for g computed from blocks = _lambda_blocks(rho).
+
+    g(-u) = g(u) exactly.  The residuals of Z B Z = diag(-1, -1, 1) B
+    and of W B* W^dag = M B (module docstring) bound the other two
+    generators: g is 1-Lipschitz in trace norm (it is a maximum of
+    tr[(2P - I) L] with |2P - I| = 1), and the trace norm of a 4x4 matrix
+    is at most twice its Frobenius norm.  Any S composes at most one of each.
+    """
+    alpha = 2.0 * psi0
+    x, y = rho[1, 2], rho[0, 3]
+    beta = alpha + 2.0 * np.angle(x) if x else -alpha - 2.0 * np.angle(y)
+    w = np.exp(1j * np.array([0.0, beta, alpha, alpha + beta]))
+    mirror = np.array([[np.cos(alpha), np.sin(alpha), 0.0],
+                       [np.sin(alpha), -np.cos(alpha), 0.0],
+                       [0.0, 0.0, 1.0]])
+    z_res = blocks * np.outer(_ZZ, _ZZ) - np.array([-1.0, -1.0, 1.0])[:, None, None] * blocks
+    w_res = w[:, None] * blocks.conj() * w.conj() - np.einsum("kj,jab->kab", mirror, blocks)
+    return 2.0 * float(np.linalg.norm(z_res, axis=(1, 2)).sum() + np.linalg.norm(w_res, axis=(1, 2)).sum())
 
 
 def _angle_objective(objective):
@@ -259,19 +334,28 @@ def _mirror_scan(upper: np.ndarray) -> np.ndarray:
     return np.concatenate([upper, np.roll(upper, PSI_AXIS.size // 2, axis=1)[::-1]])
 
 
-def _sphere_minimize(fn):
+def _sphere_minimize(fn, psi0=None):
     """Grid scan plus compass refinement of an even batched objective on
     the sphere, fn(u) = fn(-u); entropic_discord's search.
 
-    Returns (refined_points, refined_values).  fn is called on the cells
-    SCAN_CELLS only; the lower half of the grid is their mirror image.  A
-    cell and its mirror tie exactly, and the stable sort puts the
-    evaluated cell first, so the first search starts at an evaluated best
-    cell.  A compass search moves only to strictly lower points, so the
-    refined minimum is never above the scanned minimum.
+    Returns (refined_points, refined_values).  Without psi0, fn is called
+    on the cells SCAN_CELLS only; the lower half of the grid is their
+    mirror image.  A cell and its mirror tie exactly, and the stable sort
+    puts the evaluated cell first, so the first search starts at an
+    evaluated best cell.  With psi0 (an X-state, whose objective takes the
+    same value at the eight sign flips of the octant frame at psi0), fn is
+    called on the octant's 32 x 33 cells only: the rows of SCAN_CELLS at
+    psi0 + OCTANT_PSI_STEPS.  The five best cells start the compass
+    search, which moves only to strictly lower points, so the refined
+    minimum is never above the scanned minimum.
     """
-    grid_vals = _mirror_scan(fn(SCAN_CELLS))
-    starts = SCAN_POINTS[np.argsort(grid_vals.ravel(), kind="stable")[:5]]
+    if psi0 is None:
+        cells, vals = SCAN_POINTS, _mirror_scan(fn(SCAN_CELLS)).ravel()
+    else:
+        grid = np.meshgrid(THETA_AXIS[: THETA_AXIS.size // 2], psi0 + OCTANT_PSI_STEPS, indexing="ij")
+        cells = np.stack(grid, axis=-1).reshape(-1, 2)
+        vals = fn(cells)
+    starts = cells[np.argsort(vals, kind="stable")[:5]]
     steps = (0.5 * np.pi / THETA_AXIS.size, np.pi / PSI_AXIS.size)
     return _compass_batch(fn, starts, steps)
 
@@ -319,21 +403,32 @@ def max_fidelity_bruteforce(rho) -> DiscordResult:
     tr[(2P - I) L(u)] over rank-two projectors P, so g is convex, even
     and positively 1-homogeneous.  On a spherical triangle, u = w/|w| with
     w on the flat triangle of its vertices v_i and |w| >= h, the plane's
-    distance from 0: g(u) <= max_i g(v_i)/h.  From the octahedron's four
-    upper faces, each level drops the triangles bounded by the best vertex
-    value plus 2 BNB_EPS, splits the rest into four at normalised edge
-    midpoints and evaluates the new vertices in one batch.  An empty
-    frontier certifies fidelity_upper - fidelity <= BNB_EPS (for the
-    computed sqrt(rho)); at FAMILY_BUDGET evaluations the free-family
-    rules run once, and a family, or a next level past MAX_EVALS (after a
-    compass search from the best vertex), returns the honest, wider
-    interval of the open triangles.  The axes within OPTIMUM_CLUSTER_TOL
-    of the best, OPTIMA_MIN_ANGLE apart up to sign, are reported as pairs
+    distance from 0: g(u) <= max_i g(v_i)/h.  The frontier starts as the
+    octahedron's four upper faces, or, for an exactly X-shaped rho, as
+    the one octant triangle of its frame (module docstring).  Each level
+    drops the triangles bounded by the best vertex value plus 2 BNB_EPS,
+    splits the rest into four at normalised edge midpoints and evaluates
+    the new vertices in one batch.  An empty frontier certifies
+    fidelity_upper - fidelity <= BNB_EPS (for the computed sqrt(rho)),
+    plus, for an X-state, half its _symmetry_margin, which extends the
+    octant's bound to the sphere.  At FAMILY_BUDGET evaluations the
+    free-family rules run once, and a family, or a next level past
+    MAX_EVALS (after a compass search from the best vertex), returns the
+    honest, wider interval of the open triangles.  The axes within
+    OPTIMUM_CLUSTER_TOL of the best (for an X-state, with their eight
+    images), OPTIMA_MIN_ANGLE apart up to sign, are reported as pairs
     u, -u; a family gets one pair.
     """
     rho = check_density_matrix(rho)
-    objective = _objective_batch_factory(rho)
-    verts, tris = _OCTAHEDRON, _UPPER_FACES
+    blocks = _lambda_blocks(rho)
+    objective = _objective_batch_factory(blocks)
+    psi0 = _x_meridian(rho)
+    if psi0 is None:
+        frame, margin = None, 0.0
+        verts, tris = _OCTAHEDRON, _UPPER_FACES
+    else:
+        frame, margin = _octant_frame(psi0), _symmetry_margin(rho, psi0, blocks)
+        verts, tris = frame, _OCTANT_FACE
     vals = objective(verts)
     upper, family, checked = -np.inf, None, False
     while True:
@@ -364,6 +459,8 @@ def max_fidelity_bruteforce(rho) -> DiscordResult:
 
     order = np.argsort(-vals, kind="stable")
     ties = verts[order[vals[order] >= vals[order[0]] - 2.0 * OPTIMUM_CLUSTER_TOL]]
+    if frame is not None:
+        ties = _octant_images(ties, frame)
     chosen = []
     while ties.shape[0] and not (family and chosen):
         chosen.append(ties[0])
@@ -371,7 +468,7 @@ def max_fidelity_bruteforce(rho) -> DiscordResult:
     pairs = [MeasurementDirection(tuple(sign * u)) for u in chosen for sign in (1.0, -1.0)]
     pairs.sort(key=lambda m: (round(m.theta, 9), round(m.psi, 9)))
     return make_result(0.5 * (1.0 + vals.max()), pairs, "bruteforce", family,
-                       fidelity_upper=float(0.5 * (1.0 + max(upper, bounds.max()))))
+                       fidelity_upper=float(0.5 * (1.0 + max(upper, bounds.max()) + margin)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +596,11 @@ def entropic_discord(rho) -> tuple:
     entropy of B, found by _sphere_minimize (the objective is not convex);
     discord = mutual information - classical_corr.  The average entropy is
     even in u (-u is the same measurement with its outcomes swapped), so
-    the scan evaluates the upper hemisphere only.
+    the scan evaluates the upper hemisphere only, and for an exactly
+    X-shaped rho one octant (module docstring).
     """
     rho = check_density_matrix(rho)
     fn = _conditional_entropy_factory(rho)
-    _, vals = _sphere_minimize(fn)
+    _, vals = _sphere_minimize(fn, _x_meridian(rho))
     classical = von_neumann_entropy(partial_trace_A(rho)) - float(vals.min())
     return float(classical), float(mutual_information(rho) - classical)

@@ -29,6 +29,30 @@ def random_symmetric_params(rng: np.random.Generator) -> XStateParams:
     return XStateParams(a, b, b, a, x, y)
 
 
+def random_free_psi_params(rng: np.random.Generator) -> XStateParams:
+    """a=d, b=c with one coherence zero and the other above |a - b| by at
+    least 0.02: the equatorial case with x y = 0, whose optima form a psi
+    circle."""
+    a = rng.uniform(0.05, 0.45)
+    b = 0.5 - a
+    size = rng.uniform(abs(a - b) + 0.02, max(a, b)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return XStateParams(a, b, b, a, size if b >= a else 0.0, 0.0 if b >= a else size)
+
+
+def random_boundary_arc_params(rng: np.random.Generator) -> XStateParams:
+    """a=d, b=c on the boundary |a - b| = |x| + |y| with x y != 0 and
+    random phases: its optima form a theta arc through the poles."""
+    while True:
+        a = rng.uniform(0.05, 0.45)
+        b = 0.5 - a
+        gap = abs(a - b)
+        ax = rng.uniform(0.2, 0.8) * gap
+        ay = gap - ax
+        if gap >= 0.05 and ax <= b and ay <= a:
+            phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))
+            return XStateParams(a, b, b, a, ax * phases[0], ay * phases[1])
+
+
 def random_degenerate_params(rng: np.random.Generator, kind: str = "bc") -> XStateParams:
     """X-states on which the rank-two closed form applies.
 

@@ -1,13 +1,16 @@
 """Property tests for the certified interval of max_fidelity_bruteforce.
 
 On random full-rank states, random X-states, a=d, b=c states, rank-two
-X-states (b = c = |x| and both determinant factors zero) and classical
-states, the branch-and-bound result must satisfy:
-- F at 200 random axes never exceeds fidelity_upper;
+X-states (b = c = |x| and both determinant factors zero), classical
+states, Werner states, free-psi states and boundary-arc states, the
+branch-and-bound result must satisfy:
+- F at 200 random axes over the whole sphere, not only the octant an
+  X-state's search covers, never exceeds fidelity_upper;
 - fidelity is attained at one of optimal_directions within 1e-12;
-- fidelity_upper - fidelity is at most BNB_EPS plus the rounding margin
-  whenever the search converged, which it has whenever it used fewer
-  than FAMILY_BUDGET evaluations and reports no family;
+- fidelity_upper - fidelity is at most BNB_EPS plus the rounding margin,
+  plus an X-state's symmetry margin, whenever the search converged,
+  which it has whenever it used fewer than FAMILY_BUDGET evaluations and
+  reports no family;
 - fidelity is not below symmetric_fidelity or degenerate_fidelity where
   those apply.
 
@@ -31,18 +34,23 @@ from buresdiscord.discord_core import (
     FAMILY_BUDGET,
     WEYL_MARGIN,
     MeasurementDirection,
+    _lambda_blocks,
+    _symmetry_margin,
+    _x_meridian,
     fidelity_at_direction,
     max_fidelity_bruteforce,
 )
 from buresdiscord.sampling import (
+    random_boundary_arc_params,
     random_classical_params,
     random_degenerate_params,
     random_direction,
+    random_free_psi_params,
     random_state,
     random_symmetric_params,
     random_x_params,
 )
-from buresdiscord.states import classical_state, x_state
+from buresdiscord.states import classical_state, werner_params, x_state
 
 ATTAINED_TOL = 1e-12
 CLOSED_FORM_TOL = {"symmetric": 1e-12, "ad_bc": 1e-12, "bc": 1e-8}
@@ -53,6 +61,9 @@ SAMPLERS = {
     "bc": lambda rng: (None, random_degenerate_params(rng, "bc")),
     "ad_bc": lambda rng: (None, random_degenerate_params(rng, "ad_bc")),
     "classical": lambda rng: (classical_state(random_classical_params(rng)), None),
+    "werner": lambda rng: (None, werner_params(rng.uniform(0.0, 1.0))),
+    "free_psi": lambda rng: (None, random_free_psi_params(rng)),
+    "boundary_arc": lambda rng: (None, random_boundary_arc_params(rng)),
 }
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None)
@@ -63,8 +74,8 @@ def counted_search(rho) -> tuple:
     rows = []
     factory = discord_core._objective_batch_factory
 
-    def counting_factory(state):
-        fn = factory(state)
+    def counting_factory(blocks):
+        fn = factory(blocks)
 
         def counted(u):
             rows.append(u.shape[0])
@@ -94,7 +105,9 @@ def test_interval_holds_every_axis(sampler, rng_seed):
     assert min(abs(f - res.fidelity) for f in attained) <= ATTAINED_TOL
     assert res.fidelity <= res.fidelity_upper
     if res.degenerate_family is None and evals < FAMILY_BUDGET:
-        assert res.fidelity_upper - res.fidelity <= BNB_EPS + WEYL_MARGIN
+        psi0 = _x_meridian(rho)
+        margin = 0.0 if psi0 is None else _symmetry_margin(rho, psi0, _lambda_blocks(rho))
+        assert res.fidelity_upper - res.fidelity <= BNB_EPS + WEYL_MARGIN + margin
 
     if sampler == "symmetric":
         assert res.fidelity >= symmetric_fidelity(params)[0].fidelity - CLOSED_FORM_TOL[sampler]

@@ -18,6 +18,7 @@ from buresdiscord.discord_core import (
     _compass_batch,
     _conditional_entropy_factory,
     _directions,
+    _lambda_blocks,
     _mirror_scan,
     _objective_batch_factory,
     ccs_from_measurement,
@@ -41,6 +42,7 @@ from buresdiscord.linalg import (
     trace_norm,
 )
 from buresdiscord.sampling import (
+    random_boundary_arc_params,
     random_classical_params,
     random_degenerate_params,
     random_direction,
@@ -59,20 +61,6 @@ def _fixed_symmetric_params(rng):
         p = random_symmetric_params(rng)
         if symmetric_fidelity(p)[1].optimal_family == "fixed":
             return p
-
-
-def _boundary_arc_params(rng):
-    """An a=d, b=c state on the boundary |a - b| = |x| + |y| with x y != 0
-    and random phases: its optima form a theta arc through the poles."""
-    while True:
-        a = rng.uniform(0.05, 0.45)
-        b = 0.5 - a
-        gap = abs(a - b)
-        ax = rng.uniform(0.2, 0.8) * gap
-        ay = gap - ax
-        if gap >= 0.05 and ax <= b and ay <= a:
-            phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))
-            return XStateParams(a, b, b, a, ax * phases[0], ay * phases[1])
 
 
 class TestMeasurementDirection:
@@ -147,7 +135,7 @@ class TestObjective:
         for rho in [random_state(rng), x_state(random_degenerate_params(rng, kind="bc"))]:
             tp = SCAN_POINTS[rng.choice(SCAN_POINTS.shape[0], 40, replace=False)]
             single = [fidelity_at_direction(rho, MeasurementDirection.from_angles(t, p)) for t, p in tp]
-            g = _objective_batch_factory(rho)(_directions(tp[:, 0], tp[:, 1]))
+            g = _objective_batch_factory(_lambda_blocks(rho))(_directions(tp[:, 0], tp[:, 1]))
             assert_allclose(0.5 * (1.0 + g), single, rtol=0.0, atol=1e-13)
 
     def test_at_least_half(self):
@@ -232,13 +220,15 @@ class TestBruteForce:
                   + [x_state(werner_params(w)) for w in (0.0, 0.3, 1.0)]
                   + [x_state(arc)])
         for rho in states:
-            best_cell = 0.5 * (1.0 - _angle_objective(_objective_batch_factory(rho))(SCAN_CELLS).min())
+            objective = _objective_batch_factory(_lambda_blocks(rho))
+            best_cell = 0.5 * (1.0 - _angle_objective(objective)(SCAN_CELLS).min())
             res = max_fidelity_bruteforce(rho)
             assert res.fidelity >= best_cell - BNB_EPS
             assert res.fidelity_upper >= best_cell
 
     def test_scan_evaluates_the_upper_half_only(self, monkeypatch):
-        # entropic_discord is the one caller of the grid scan
+        # entropic_discord is the one caller of the grid scan: a non-X state
+        # scans the upper half, an X-state one octant of 32 x 33 cells
         batches = []
 
         def counting_factory(rho):
@@ -250,18 +240,22 @@ class TestBruteForce:
             return counted
 
         monkeypatch.setattr(discord_core, "_conditional_entropy_factory", counting_factory)
-        entropic_discord(x_state(random_x_params(np.random.default_rng(18))))
+        entropic_discord(random_state(np.random.default_rng(18)))
         assert batches[0] == 4096 == SCAN_POINTS.shape[0] // 2
+        batches.clear()
+        entropic_discord(x_state(random_x_params(np.random.default_rng(18))))
+        assert batches[0] == 1056 == 32 * 33
 
     def test_branch_and_bound_batches(self, monkeypatch):
-        # the first batch is the five upper octahedron vertices, eigvalsh
-        # never takes more than EIG_BATCH rows, and a random X-state stays
-        # under MAX_EVALS evaluations
+        # the first batch is the five upper octahedron vertices for a non-X
+        # state and the three octant vertices for an X-state, eigvalsh
+        # never takes more than EIG_BATCH rows, and both stay under
+        # MAX_EVALS evaluations
         batches, eig_rows = [], []
         eigvalsh = np.linalg.eigvalsh
 
-        def counting_factory(rho):
-            fn = _objective_batch_factory(rho)
+        def counting_factory(blocks):
+            fn = _objective_batch_factory(blocks)
 
             def counted(u):
                 batches.append(u.copy())
@@ -274,10 +268,17 @@ class TestBruteForce:
 
         monkeypatch.setattr(discord_core, "_objective_batch_factory", counting_factory)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        max_fidelity_bruteforce(x_state(random_x_params(np.random.default_rng(18))))
+        max_fidelity_bruteforce(random_state(np.random.default_rng(18)))
         assert_allclose(batches[0], [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1]])
         assert sum(b.shape[0] for b in batches) < MAX_EVALS
-        fn = _objective_batch_factory(random_state(np.random.default_rng(19)))
+        batches.clear()
+        params = random_x_params(np.random.default_rng(18))
+        max_fidelity_bruteforce(x_state(params))
+        psi0 = -np.angle(params.x * params.y) / 2.0
+        octant = [[np.cos(psi0), np.sin(psi0), 0], [-np.sin(psi0), np.cos(psi0), 0], [0, 0, 1]]
+        assert_allclose(batches[0], octant, rtol=0.0, atol=1e-15)
+        assert sum(b.shape[0] for b in batches) < MAX_EVALS
+        fn = _objective_batch_factory(_lambda_blocks(random_state(np.random.default_rng(19))))
         fn(np.tile([0.0, 0.0, 1.0], (EIG_BATCH + 3, 1)))
         assert max(eig_rows) == EIG_BATCH == 4096 and eig_rows[-1] == 3
 
@@ -288,7 +289,7 @@ class TestBruteForce:
         assert max_fidelity_bruteforce(x_state(found)).degenerate_family == "free_theta"
         rng = np.random.default_rng(23)
         for _ in range(30):
-            p = _boundary_arc_params(rng)
+            p = random_boundary_arc_params(rng)
             assert symmetric_fidelity(p)[1].optimal_family == "free_theta"
             assert max_fidelity_bruteforce(x_state(p)).degenerate_family == "free_theta"
 
@@ -352,7 +353,7 @@ class TestCompassSearch:
 
     def test_never_above_its_start(self):
         rng = np.random.default_rng(22)
-        fn = _angle_objective(_objective_batch_factory(random_state(rng)))
+        fn = _angle_objective(_objective_batch_factory(_lambda_blocks(random_state(rng))))
         starts = np.column_stack([rng.uniform(0.0, np.pi, 20), rng.uniform(0.0, 2.0 * np.pi, 20)])
         _, vals = _compass_batch(fn, starts, (0.3, 0.3))
         assert np.all(vals <= fn(starts))
@@ -364,7 +365,7 @@ class TestMirroredScan:
         assert_allclose(u[::-1], -np.roll(u, 64, axis=1), rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("factory", [
-        pytest.param(lambda rho: _angle_objective(_objective_batch_factory(rho)),
+        pytest.param(lambda rho: _angle_objective(_objective_batch_factory(_lambda_blocks(rho))),
                      id="_objective_batch_factory"),
         _conditional_entropy_factory,
     ])
