@@ -264,7 +264,7 @@ def _octant_frame(psi0: float) -> np.ndarray:
 def _octant_images(points: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """The eight sign flips in the frame of each (N, 3) point, as (8 N, 3)
     rows, each point's own image first."""
-    return (((points @ frame.T)[:, None, :] * _SIGN_FLIPS) @ frame).reshape(-1, 3)
+    return ((points @ frame.T)[:, None, :] * _SIGN_FLIPS).reshape(-1, 3) @ frame
 
 
 def _symmetry_margin(rho, psi0: float, blocks: np.ndarray) -> float:
@@ -417,7 +417,7 @@ def max_fidelity_bruteforce(rho) -> DiscordResult:
     honest, wider interval of the open triangles.  The axes within
     OPTIMUM_CLUSTER_TOL of the best (for an X-state, with their eight
     images), OPTIMA_MIN_ANGLE apart up to sign, are reported as pairs
-    u, -u; a family gets one pair.
+    u, -u; a family gets one pair, its best vertex.
     """
     rho = check_density_matrix(rho)
     blocks = _lambda_blocks(rho)
@@ -459,7 +459,7 @@ def max_fidelity_bruteforce(rho) -> DiscordResult:
 
     order = np.argsort(-vals, kind="stable")
     ties = verts[order[vals[order] >= vals[order[0]] - 2.0 * OPTIMUM_CLUSTER_TOL]]
-    if frame is not None:
+    if frame is not None and family is None:
         ties = _octant_images(ties, frame)
     chosen = []
     while ties.shape[0] and not (family and chosen):

@@ -17,7 +17,6 @@ give the same results.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -149,9 +148,3 @@ def test_one_off_x_entry_takes_the_hemisphere_path(monkeypatch):
         max_fidelity_bruteforce(rho)
     assert [sizes[0] for sizes in first_batches] == [3, 5] * 4
 
-
-@pytest.mark.parametrize("psi0", [0.0, 0.4, -1.3])
-def test_octant_frame_spans_the_meridians(psi0):
-    e1, e2, e3 = _octant_frame(psi0)
-    assert_allclose(e1, [np.cos(psi0), np.sin(psi0), 0.0], rtol=0.0, atol=0.0)
-    assert_allclose(np.cross(e1, e2), e3, rtol=0.0, atol=1e-16)
