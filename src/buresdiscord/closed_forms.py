@@ -33,7 +33,7 @@ from .discord_core import (
     max_fidelity_bruteforce,
 )
 from .errors import InvalidParams, PreconditionNotMet
-from .linalg import I4, PAULI, fidelity, herm_eig
+from .linalg import I4, PAULI, check_density_matrix, fidelity, herm_eig
 from .states import (
     XStateParams,
     bd_probs,
@@ -505,7 +505,8 @@ def bures_discord(rho, method: str = "auto") -> tuple:
     the two closed forms (PreconditionNotMet for any other X-state),
     'candidates' returns the candidate axes alone, and 'bruteforce' the
     sphere search alone.  Non-X input goes to the sphere search;
-    'closed' and 'candidates' reject it with InvalidParams.
+    'closed' and 'candidates' reject it with InvalidParams.  Every method
+    first validates rho as a density matrix (NotHermitian, NotPSD).
 
     Returns (DiscordResult, trail, extra): trail lists the dispatch
     path; extra holds 'candidate_gap' (the result's fidelity minus the
@@ -514,6 +515,7 @@ def bures_discord(rho, method: str = "auto") -> tuple:
     """
     if method not in DISCORD_METHODS:
         raise InvalidParams(f"unknown method {method!r}; expected one of {DISCORD_METHODS}")
+    rho = check_density_matrix(rho)
     try:
         params = x_params_from_matrix(rho)
     except InvalidParams:

@@ -14,9 +14,14 @@ and the minimal-error discrimination quantities that make F(u) a
 two-state discrimination problem.  An entropy-based discord is included
 as an independent cross-check path.
 
-Both sphere objectives are even in u: L(-u) = -L(u) leaves F unchanged,
-and -u is the same measurement with its outcomes swapped.  So both
-sphere searches evaluate the upper hemisphere only.
+Both sphere searches sample one triangle mesh: the same start mesh
+(_start_mesh), refined by the same midpoint split (_split).
+max_fidelity_bruteforce splits only the triangles its bound cannot drop;
+entropic_discord, whose objective is not convex, splits every triangle
+ENTROPIC_SPLITS times and refines its five best vertices by compass
+search.  Both sphere objectives are even in u: L(-u) = -L(u) leaves F
+unchanged, and -u is the same measurement with its outcomes swapped.  So
+the start mesh covers the upper hemisphere only.
 
 An exactly X-shaped state (its eight off-X entries are 0.0) has two more
 symmetries, so both searches cover one octant, the one spanned by
@@ -56,6 +61,7 @@ from .linalg import (
     psd_sqrt,
     von_neumann_entropy,
 )
+from .states import OFF_X
 
 DIRECTION_TOL = 1e-12
 DEGENERATE_PROJECTOR_TOL = 1e-10
@@ -71,27 +77,25 @@ FAMILY_BUDGET = 2048
 MAX_EVALS = 8192
 EIG_BATCH = 4096
 WEYL_MARGIN = 64 * np.finfo(float).eps
+
+# the start mesh of both sphere searches (_start_mesh) and its split (_split)
 _OCTAHEDRON = np.vstack([np.eye(3)[:2], -np.eye(3)[:2], np.eye(3)[2]])   # +x, +y, -x, -y, +z
 _UPPER_FACES = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
 _OCTANT_FACE = np.array([[0, 1, 2]])    # the rows of an octant frame
 # the children of (t0, t1, t2) as columns of (t0, t1, t2, m01, m12, m20), m_ij midpoints
 _CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 
-# entropic_discord's search (its objective is not convex): a 64 x 128 scan
-# of (theta, psi), then at most REFINE_ITERS compass-search iterations from
-# the best five cells.  The scan is antipodal (theta_{63-i} = pi - theta_i,
-# psi_{j+64} = psi_j + pi), so it evaluates the upper half, SCAN_CELLS.
+# entropic_discord's search (its objective is not convex): the vertices of
+# the start mesh split ENTROPIC_SPLITS times (edges 0.049 to 0.076 rad),
+# then at most REFINE_ITERS compass-search iterations from the best five.
+# THETA_AXIS and PSI_AXIS set the compass steps and the rows and arcs of
+# _detect_free_family.
+ENTROPIC_SPLITS = 5
 THETA_AXIS = np.linspace(0.0, np.pi, 64)
 PSI_AXIS = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
 REFINE_ITERS = 200
-SCAN_POINTS = np.stack(np.meshgrid(THETA_AXIS, PSI_AXIS, indexing="ij"), axis=-1).reshape(-1, 2)
-SCAN_CELLS = SCAN_POINTS[: SCAN_POINTS.shape[0] // 2]
-# the octant scan of an X-state: the same 32 rows, at psi0 + j pi/64 for
-# j = 0 ... 32, both edge meridians included
-OCTANT_PSI_STEPS = np.arange(PSI_AXIS.size // 4 + 1) * (2.0 * np.pi / PSI_AXIS.size)
 
-# the entries off the X pattern, sigma_z (x) sigma_z, and the sign flips of an octant frame
-_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+# sigma_z (x) sigma_z and the sign flips of an octant frame
 _ZZ = np.array([1.0, -1.0, -1.0, 1.0])
 _SIGN_FLIPS = np.array([[i, j, k] for i in (1.0, -1.0) for j in (1.0, -1.0) for k in (1.0, -1.0)])
 
@@ -250,7 +254,7 @@ def _objective_batch_factory(blocks):
 def _x_meridian(rho):
     """psi0 = -arg(rho_12 rho_03)/2 when rho is exactly X-shaped (its eight
     off-X entries are 0.0), else None."""
-    if np.any(rho[_OFF_X]):
+    if np.any(rho[OFF_X]):
         return None
     return -0.5 * float(np.angle(rho[1, 2] * rho[0, 3]))
 
@@ -259,6 +263,29 @@ def _octant_frame(psi0: float) -> np.ndarray:
     """The rows e1, e2, e3 that span the octant searched for an X-state."""
     c, s = np.cos(psi0), np.sin(psi0)
     return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _start_mesh(rho):
+    """(psi0, verts, tris), the start mesh of both sphere searches: the one
+    octant triangle of the frame at psi0 = _x_meridian(rho) for an exactly
+    X-shaped rho, else the four upper octahedron faces (psi0 None)."""
+    psi0 = _x_meridian(rho)
+    if psi0 is None:
+        return None, _OCTAHEDRON, _UPPER_FACES
+    return psi0, _octant_frame(psi0), _OCTANT_FACE
+
+
+def _split(verts: np.ndarray, tris: np.ndarray) -> tuple:
+    """Split each spherical triangle (rows of indices into the unit rows of
+    verts) into four at its normalised edge midpoints.  Returns (mids,
+    children): the new vertices, one per distinct edge, which take the
+    indices after verts, and the child triangles."""
+    n = verts.shape[0]
+    edges = np.sort(tris[:, [[0, 1], [1, 2], [2, 0]]], axis=2)
+    keys, slot = np.unique(edges[..., 0] * n + edges[..., 1], return_inverse=True)
+    mids = verts[keys // n] + verts[keys % n]
+    mids /= np.linalg.norm(mids, axis=1)[:, None]
+    return mids, np.hstack([tris, n + slot.reshape(-1, 3)])[:, _CHILDREN].reshape(-1, 3)
 
 
 def _octant_images(points: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -289,9 +316,10 @@ def _symmetry_margin(rho, psi0: float, blocks: np.ndarray) -> float:
     return 2.0 * float(np.linalg.norm(z_res, axis=(1, 2)).sum() + np.linalg.norm(w_res, axis=(1, 2)).sum())
 
 
-def _angle_objective(objective):
-    """-objective as a map from (N, 2) (theta, psi) rows, for the compass search."""
-    return lambda tp: -objective(_directions(tp[:, 0], tp[:, 1]))
+def _on_angles(fn):
+    """fn of (N, 3) unit vectors as a map from (N, 2) (theta, psi) rows, for
+    the compass search."""
+    return lambda tp: fn(_directions(tp[:, 0], tp[:, 1]))
 
 
 def _compass_batch(fn, starts: np.ndarray, steps):
@@ -327,39 +355,6 @@ def _compass_batch(fn, starts: np.ndarray, steps):
     return pts, vals
 
 
-def _mirror_scan(upper: np.ndarray) -> np.ndarray:
-    """The full 64 x 128 scan of an even objective from the values at
-    SCAN_CELLS: cell (63 - i, j) is the antipode of cell (i, j - 64)."""
-    upper = upper.reshape(-1, PSI_AXIS.size)
-    return np.concatenate([upper, np.roll(upper, PSI_AXIS.size // 2, axis=1)[::-1]])
-
-
-def _sphere_minimize(fn, psi0=None):
-    """Grid scan plus compass refinement of an even batched objective on
-    the sphere, fn(u) = fn(-u); entropic_discord's search.
-
-    Returns (refined_points, refined_values).  Without psi0, fn is called
-    on the cells SCAN_CELLS only; the lower half of the grid is their
-    mirror image.  A cell and its mirror tie exactly, and the stable sort
-    puts the evaluated cell first, so the first search starts at an
-    evaluated best cell.  With psi0 (an X-state, whose objective takes the
-    same value at the eight sign flips of the octant frame at psi0), fn is
-    called on the octant's 32 x 33 cells only: the rows of SCAN_CELLS at
-    psi0 + OCTANT_PSI_STEPS.  The five best cells start the compass
-    search, which moves only to strictly lower points, so the refined
-    minimum is never above the scanned minimum.
-    """
-    if psi0 is None:
-        cells, vals = SCAN_POINTS, _mirror_scan(fn(SCAN_CELLS)).ravel()
-    else:
-        grid = np.meshgrid(THETA_AXIS[: THETA_AXIS.size // 2], psi0 + OCTANT_PSI_STEPS, indexing="ij")
-        cells = np.stack(grid, axis=-1).reshape(-1, 2)
-        vals = fn(cells)
-    starts = cells[np.argsort(vals, kind="stable")[:5]]
-    steps = (0.5 * np.pi / THETA_AXIS.size, np.pi / PSI_AXIS.size)
-    return _compass_batch(fn, starts, steps)
-
-
 def _detect_free_family(objective, vals, best_u):
     """Classify a family of maxima of g from its values vals at every
     evaluated point and the best point best_u: the whole sphere when all
@@ -377,7 +372,7 @@ def _detect_free_family(objective, vals, best_u):
     else:
         row = objective(_directions(np.full_like(PSI_AXIS, THETA_AXIS[1]), PSI_AXIS))
         start = np.array([[THETA_AXIS[1], PSI_AXIS[np.argmax(row)]]])
-        pts, _ = _compass_batch(_angle_objective(objective), start, (0.0, np.pi / PSI_AXIS.size))
+        pts, _ = _compass_batch(_on_angles(lambda u: -objective(u)), start, (0.0, np.pi / PSI_AXIS.size))
         psi_opt = pts[0, 1]
     if np.all(objective(_directions(THETA_AXIS, np.full_like(THETA_AXIS, psi_opt))) >= floor):
         return "free_theta"
@@ -422,13 +417,8 @@ def max_fidelity_bruteforce(rho) -> DiscordResult:
     rho = check_density_matrix(rho)
     blocks = _lambda_blocks(rho)
     objective = _objective_batch_factory(blocks)
-    psi0 = _x_meridian(rho)
-    if psi0 is None:
-        frame, margin = None, 0.0
-        verts, tris = _OCTAHEDRON, _UPPER_FACES
-    else:
-        frame, margin = _octant_frame(psi0), _symmetry_margin(rho, psi0, blocks)
-        verts, tris = frame, _OCTANT_FACE
+    psi0, verts, tris = _start_mesh(rho)
+    margin = 0.0 if psi0 is None else _symmetry_margin(rho, psi0, blocks)
     vals = objective(verts)
     upper, family, checked = -np.inf, None, False
     while True:
@@ -443,24 +433,19 @@ def max_fidelity_bruteforce(rho) -> DiscordResult:
             checked, family = True, _detect_free_family(objective, vals, verts[np.argmax(vals)])
             if family is not None:
                 break
-        n = verts.shape[0]
-        edges = np.sort(tris[:, [[0, 1], [1, 2], [2, 0]]], axis=2)
-        keys, slot = np.unique(edges[..., 0] * n + edges[..., 1], return_inverse=True)
-        if vals.size + keys.size > MAX_EVALS:
+        mids, children = _split(verts, tris)
+        if vals.size + mids.shape[0] > MAX_EVALS:
             best = MeasurementDirection(tuple(verts[np.argmax(vals)]))
             step = np.linalg.norm(verts[tris[0, 0]] - verts[tris[0, 1]])
-            pts, neg = _compass_batch(_angle_objective(objective), [[best.theta, best.psi]], (step, step))
+            pts, neg = _compass_batch(_on_angles(lambda u: -objective(u)), [[best.theta, best.psi]], (step, step))
             verts, vals = np.vstack([verts, _directions(pts[:, 0], pts[:, 1])]), np.append(vals, -neg)
             break
-        mids = verts[keys // n] + verts[keys % n]
-        mids /= np.linalg.norm(mids, axis=1)[:, None]
-        tris = np.hstack([tris, n + slot.reshape(-1, 3)])[:, _CHILDREN].reshape(-1, 3)
-        verts, vals = np.vstack([verts, mids]), np.append(vals, objective(mids))
+        tris, verts, vals = children, np.vstack([verts, mids]), np.append(vals, objective(mids))
 
     order = np.argsort(-vals, kind="stable")
     ties = verts[order[vals[order] >= vals[order[0]] - 2.0 * OPTIMUM_CLUSTER_TOL]]
-    if frame is not None and family is None:
-        ties = _octant_images(ties, frame)
+    if psi0 is not None and family is None:
+        ties = _octant_images(ties, _octant_frame(psi0))
     chosen = []
     while ties.shape[0] and not (family and chosen):
         chosen.append(ties[0])
@@ -562,14 +547,14 @@ def mutual_information(rho) -> float:
 
 
 def _conditional_entropy_factory(rho):
-    """Vectorized map from (N, 2) angles to the post-measurement average
-    entropy sum_i p_i S(rho_B|i) for the axis-u measurement on A."""
+    """Vectorized map from (N, 3) unit vectors u to the post-measurement
+    average entropy sum_i p_i S(rho_B|i) for the axis-u measurement on A."""
     rho = np.asarray(rho, dtype=complex)
     base = np.stack([rho @ np.kron(s, I2) for s in PAULI]).reshape(3, 16)
 
-    def objective(tp: np.ndarray) -> np.ndarray:
-        mixed = (_directions(tp[:, 0], tp[:, 1]) @ base).reshape(-1, 4, 4)
-        out = np.zeros(tp.shape[0])
+    def objective(u: np.ndarray) -> np.ndarray:
+        mixed = (u @ base).reshape(-1, 4, 4)
+        out = np.zeros(u.shape[0])
         for sign in (1.0, -1.0):
             block = (rho[None, :, :] + sign * mixed) / 2.0
             r4 = block.reshape(-1, 2, 2, 2, 2)
@@ -593,14 +578,24 @@ def entropic_discord(rho) -> tuple:
     """Entropy-based classical correlation and discord.
 
     classical_corr = S(rho_B) - min over axes of the average conditional
-    entropy of B, found by _sphere_minimize (the objective is not convex);
-    discord = mutual information - classical_corr.  The average entropy is
-    even in u (-u is the same measurement with its outcomes swapped), so
-    the scan evaluates the upper hemisphere only, and for an exactly
-    X-shaped rho one octant (module docstring).
+    entropy of B; discord = mutual information - classical_corr.  The
+    objective is not convex, so the search scans the vertices of the start
+    mesh of max_fidelity_bruteforce (_start_mesh) split ENTROPIC_SPLITS
+    times, 2113 on the upper hemisphere or 561 on the octant of an exactly
+    X-shaped rho (the average entropy is even in u and, for an X-state,
+    takes the same value at the eight sign flips; module docstring).  A
+    compass search from the five best vertices, which moves only to
+    strictly lower points, refines the minimum.
     """
     rho = check_density_matrix(rho)
     fn = _conditional_entropy_factory(rho)
-    _, vals = _sphere_minimize(fn, _x_meridian(rho))
+    _, verts, tris = _start_mesh(rho)
+    for _ in range(ENTROPIC_SPLITS):
+        mids, tris = _split(verts, tris)
+        verts = np.vstack([verts, mids])
+    best = verts[np.argsort(fn(verts), kind="stable")[:5]]
+    starts = [[d.theta, d.psi] for d in (MeasurementDirection(tuple(u)) for u in best)]
+    steps = (0.5 * np.pi / THETA_AXIS.size, np.pi / PSI_AXIS.size)
+    _, vals = _compass_batch(_on_angles(fn), starts, steps)
     classical = von_neumann_entropy(partial_trace_A(rho)) - float(vals.min())
     return float(classical), float(mutual_information(rho) - classical)

@@ -20,6 +20,8 @@ PARAM_PSD_SLACK = 1e-12
 SYMMETRIC_TOL = 1e-12
 UNITARY_TOL = 1e-10
 X_PATTERN_TOL = 1e-10
+# the eight entries off the X pattern (the diagonal and the anti-diagonal)
+OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 @dataclass(frozen=True)
@@ -130,11 +132,7 @@ def x_params_from_matrix(rho) -> XStateParams:
     rho = _as_complex(rho)
     if rho.shape != (4, 4):
         raise InvalidParams(f"expected 4x4, got {rho.shape}")
-    mask = np.ones((4, 4), dtype=bool)
-    for i in range(4):
-        mask[i, i] = False
-        mask[i, 3 - i] = False
-    stray = np.max(np.abs(rho[mask]))
+    stray = np.max(np.abs(rho[OFF_X]))
     if stray > X_PATTERN_TOL:
         raise InvalidParams(f"entry of magnitude {stray:.3e} off the X pattern")
     if abs(rho[2, 1] - np.conj(rho[1, 2])) > X_PATTERN_TOL or abs(rho[3, 0] - np.conj(rho[0, 3])) > X_PATTERN_TOL:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from buresdiscord.closed_forms import (
     BRANCH_TOL,
+    DISCORD_METHODS,
     bd_transport,
     bures_discord,
     char_poly_coeffs,
@@ -26,7 +27,7 @@ from buresdiscord.discord_core import (
     fidelity_at_direction,
     max_fidelity_bruteforce,
 )
-from buresdiscord.errors import InvalidParams, NotSymmetricFamily, PreconditionNotMet
+from buresdiscord.errors import InvalidParams, NotHermitian, NotSymmetricFamily, PreconditionNotMet
 from buresdiscord.linalg import I4, bures_distance_sq, fidelity
 from buresdiscord.sampling import (
     random_degenerate_params,
@@ -543,6 +544,15 @@ class TestBuresDiscord:
     def test_non_x_input_rejected_by_x_methods(self, method):
         with pytest.raises(InvalidParams):
             bures_discord(random_state(np.random.default_rng(5)), method)
+
+    @pytest.mark.parametrize("method", DISCORD_METHODS)
+    def test_non_hermitian_input_rejected(self, method):
+        # an imaginary part on the diagonal is no X-state parameter, so the
+        # X paths would drop it; every method validates rho first
+        rho = x_state(XStateParams(0.3, 0.2, 0.2, 0.3, 0.1, 0.15))
+        rho[0, 0] += 0.2j
+        with pytest.raises(NotHermitian):
+            bures_discord(rho, method)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParams):

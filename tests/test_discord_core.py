@@ -10,17 +10,14 @@ from buresdiscord.discord_core import (
     BNB_EPS,
     EIG_BATCH,
     MAX_EVALS,
-    SCAN_CELLS,
-    SCAN_POINTS,
     MeasurementDirection,
     QsdEnsemble,
-    _angle_objective,
     _compass_batch,
     _conditional_entropy_factory,
     _directions,
     _lambda_blocks,
-    _mirror_scan,
     _objective_batch_factory,
+    _on_angles,
     ccs_from_measurement,
     dephasing_residual,
     entropic_discord,
@@ -133,7 +130,7 @@ class TestObjective:
     def test_batch_matches_single_direction(self):
         rng = np.random.default_rng(20)
         for rho in [random_state(rng), x_state(random_degenerate_params(rng, kind="bc"))]:
-            tp = SCAN_POINTS[rng.choice(SCAN_POINTS.shape[0], 40, replace=False)]
+            tp = np.column_stack([rng.uniform(0.0, np.pi, 40), rng.uniform(0.0, 2.0 * np.pi, 40)])
             single = [fidelity_at_direction(rho, MeasurementDirection.from_angles(t, p)) for t, p in tp]
             g = _objective_batch_factory(_lambda_blocks(rho))(_directions(tp[:, 0], tp[:, 1]))
             assert_allclose(0.5 * (1.0 + g), single, rtol=0.0, atol=1e-13)
@@ -211,8 +208,12 @@ class TestBruteForce:
         assert abs(res.discord - 2.0 * (1.0 - np.sqrt(res.fidelity))) < 1e-12
 
     def test_never_below_best_scan_cell(self):
-        # the certified interval holds every scan cell: fidelity_upper is
-        # above each and the certified maximum at most BNB_EPS below the best
+        # the certified interval holds every cell of a 64 x 128 (theta, psi)
+        # scan's upper half: fidelity_upper is above each and the certified
+        # maximum at most BNB_EPS below the best
+        thetas, psis = np.meshgrid(np.linspace(0.0, np.pi, 64)[:32],
+                                   np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False), indexing="ij")
+        cells = _directions(thetas.ravel(), psis.ravel())
         rng = np.random.default_rng(17)
         arc = XStateParams(0.35, 0.15, 0.15, 0.35, 0.12 * np.exp(0.7j), 0.08 * np.exp(-0.3j))
         states = ([x_state(random_x_params(rng)) for _ in range(4)]
@@ -220,31 +221,31 @@ class TestBruteForce:
                   + [x_state(werner_params(w)) for w in (0.0, 0.3, 1.0)]
                   + [x_state(arc)])
         for rho in states:
-            objective = _objective_batch_factory(_lambda_blocks(rho))
-            best_cell = 0.5 * (1.0 - _angle_objective(objective)(SCAN_CELLS).min())
+            best_cell = 0.5 * (1.0 + _objective_batch_factory(_lambda_blocks(rho))(cells).max())
             res = max_fidelity_bruteforce(rho)
             assert res.fidelity >= best_cell - BNB_EPS
             assert res.fidelity_upper >= best_cell
 
     def test_scan_evaluates_the_upper_half_only(self, monkeypatch):
-        # entropic_discord is the one caller of the grid scan: a non-X state
-        # scans the upper half, an X-state one octant of 32 x 33 cells
+        # entropic_discord scans the start mesh split five times: the upper
+        # hemisphere (2113 vertices) for a non-X state, one octant (561) for
+        # an X-state
         batches = []
 
         def counting_factory(rho):
             fn = _conditional_entropy_factory(rho)
 
-            def counted(tp):
-                batches.append(tp.shape[0])
-                return fn(tp)
+            def counted(u):
+                batches.append(u.shape[0])
+                return fn(u)
             return counted
 
         monkeypatch.setattr(discord_core, "_conditional_entropy_factory", counting_factory)
         entropic_discord(random_state(np.random.default_rng(18)))
-        assert batches[0] == 4096 == SCAN_POINTS.shape[0] // 2
+        assert batches[0] == 2113
         batches.clear()
         entropic_discord(x_state(random_x_params(np.random.default_rng(18))))
-        assert batches[0] == 1056 == 32 * 33
+        assert batches[0] == 561
 
     def test_branch_and_bound_batches(self, monkeypatch):
         # the first batch is the five upper octahedron vertices for a non-X
@@ -353,33 +354,29 @@ class TestCompassSearch:
 
     def test_never_above_its_start(self):
         rng = np.random.default_rng(22)
-        fn = _angle_objective(_objective_batch_factory(_lambda_blocks(random_state(rng))))
+        fn = _on_angles(_objective_batch_factory(_lambda_blocks(random_state(rng))))
         starts = np.column_stack([rng.uniform(0.0, np.pi, 20), rng.uniform(0.0, 2.0 * np.pi, 20)])
         _, vals = _compass_batch(fn, starts, (0.3, 0.3))
         assert np.all(vals <= fn(starts))
 
 
 class TestMirroredScan:
-    def test_grid_is_antipodal(self):
-        u = _directions(SCAN_POINTS[:, 0], SCAN_POINTS[:, 1]).reshape(64, 128, 3)
-        assert_allclose(u[::-1], -np.roll(u, 64, axis=1), rtol=0.0, atol=1e-15)
-
     @pytest.mark.parametrize("factory", [
-        pytest.param(lambda rho: _angle_objective(_objective_batch_factory(_lambda_blocks(rho))),
+        pytest.param(lambda rho: _objective_batch_factory(_lambda_blocks(rho)),
                      id="_objective_batch_factory"),
         _conditional_entropy_factory,
     ])
     def test_mirrored_half_matches_direct_scan(self, factory):
-        # both objectives are even in u, so the lower half of a direct full
-        # scan equals the mirror image of the upper half
+        # both objectives are even in u, which lets both searches scan the
+        # upper hemisphere of a non-X state only: f(-u) = f(u)
         rng = np.random.default_rng(19)
         states = ([x_state(random_x_params(rng)) for _ in range(3)]
                   + [random_state(rng) for _ in range(3)]
                   + [x_state(random_degenerate_params(rng, kind="bc")) for _ in range(3)])
         for rho in states:
             fn = factory(rho)
-            direct = fn(SCAN_POINTS).reshape(64, 128)
-            assert_allclose(_mirror_scan(fn(SCAN_CELLS)), direct, rtol=0.0, atol=1e-14)
+            u = np.array([random_direction(rng) for _ in range(200)])
+            assert_allclose(fn(-u), fn(u), rtol=0.0, atol=1e-14)
 
 
 class TestCcs:

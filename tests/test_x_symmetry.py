@@ -70,10 +70,6 @@ def _margin(rho) -> float:
     return _symmetry_margin(rho, _x_meridian(rho), _lambda_blocks(rho))
 
 
-def _angles(u):
-    return np.column_stack([np.arccos(np.clip(u[:, 2], -1.0, 1.0)), np.arctan2(u[:, 1], u[:, 0])])
-
-
 @seed(20140)
 @settings(max_examples=60, deadline=None, database=None)
 @given(sampler=st.sampled_from(sorted(SAMPLERS)), rng_seed=SEEDS)
@@ -86,7 +82,7 @@ def test_images_agree_within_the_margin(sampler, rng_seed):
     images = _octant_images(axes, _octant_frame(psi0))
     g = _objective_batch_factory(_lambda_blocks(rho))(images).reshape(-1, 8)
     assert np.abs(g - g[:, :1]).max() <= _margin(rho) + 2.0 * WEYL_MARGIN
-    entropy = _conditional_entropy_factory(rho)(_angles(images)).reshape(-1, 8)
+    entropy = _conditional_entropy_factory(rho)(images).reshape(-1, 8)
     assert np.abs(entropy - entropy[:, :1]).max() <= ENTROPY_ROUNDING
 
 
