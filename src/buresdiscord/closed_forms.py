@@ -28,9 +28,9 @@ import numpy as np
 
 from .discord_core import (
     MeasurementDirection,
+    _max_fidelity_bruteforce,
     ccs_from_measurement,
     make_result,
-    max_fidelity_bruteforce,
 )
 from .errors import InvalidParams, PreconditionNotMet
 from .linalg import I4, PAULI, check_density_matrix, fidelity, herm_eig
@@ -521,13 +521,13 @@ def bures_discord(rho, method: str = "auto") -> tuple:
     except InvalidParams:
         if method in ("closed", "candidates"):
             raise InvalidParams(f"method={method} requires an X-shaped state") from None
-        return max_fidelity_bruteforce(rho), ["bruteforce"], {"candidate_gap": None}
+        return _max_fidelity_bruteforce(rho), ["bruteforce"], {"candidate_gap": None}
 
     candidate, breakdown, eq = _candidates(params)
     if method == "candidates":
         return candidate, ["candidates"], {"candidate_gap": None, "candidates": asdict(breakdown)}
     if method == "bruteforce":
-        result, trail, block = max_fidelity_bruteforce(rho), "bruteforce", {}
+        result, trail, block = _max_fidelity_bruteforce(rho), "bruteforce", {}
     elif is_symmetric_family(params):
         result, branch = _symmetric_case(params, breakdown.F_axial, eq)
         trail = "symmetric_family->symmetric_fidelity"
@@ -538,7 +538,7 @@ def bures_discord(rho, method: str = "auto") -> tuple:
         except PreconditionNotMet:
             if method == "closed":
                 raise
-            result = max_fidelity_bruteforce(rho)
+            result = _max_fidelity_bruteforce(rho)
             trail = "general->candidates+bruteforce"
             block = {"candidates": asdict(breakdown)}
         else:

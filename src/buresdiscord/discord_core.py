@@ -1,45 +1,39 @@
 """Measurement-level engine for the Bures geometry of two-qubit states.
 
-The central objects: the Hermitian matrix L(u) = sqrt(rho) (sigma_u (x) I) sqrt(rho)
-for a measurement axis u on qubit A, the fidelity objective
+For a measurement axis u on qubit A: L(u) = sqrt(rho) (sigma_u (x) I)
+sqrt(rho), the fidelity objective F(u) = (1 - tr L(u) + 2 (l1 + l2))/2
+(l1 >= l2 >= ... its eigenvalues) and its certified maximum over the
+sphere, the reference oracle for every closed form; the closest
+A-classical state from the top-two spectral projector of L(u), the exact
+dephasing residual, and the two-state discrimination problem behind F(u).
+An entropy-based discord is a cross-check.
 
-    F(u) = (1 - tr L(u) + 2 (l1 + l2)) / 2
+Both sphere searches split the cells (arcs or spherical triangles) of
+one start mesh (_start_mesh) at their midpoints (_split):
+max_fidelity_bruteforce those its bound cannot drop, entropic_discord all,
+ENTROPIC_SPLITS times.  Both objectives are even in u (L(-u) = -L(u), and
+-u swaps the outcomes), so the mesh covers the upper hemisphere only.
 
-with l1 >= l2 >= ... the eigenvalues of L(u), its maximum over the
-Bloch sphere (a certified branch-and-bound, the reference oracle for
-every closed form), the closest A-classical state assembled from the
-top-two spectral projector of L(u), the exact
-dephasing residual that certifies a state A-classical along an axis,
-and the minimal-error discrimination quantities that make F(u) a
-two-state discrimination problem.  An entropy-based discord is included
-as an independent cross-check path.
-
-Both sphere searches sample one triangle mesh: the same start mesh
-(_start_mesh), refined by the same midpoint split (_split).
-max_fidelity_bruteforce splits only the triangles its bound cannot drop;
-entropic_discord, whose objective is not convex, splits every triangle
-ENTROPIC_SPLITS times and refines its five best vertices by compass
-search.  Both sphere objectives are even in u: L(-u) = -L(u) leaves F
-unchanged, and -u is the same measurement with its outcomes swapped.  So
-the start mesh covers the upper hemisphere only.
-
-An exactly X-shaped state (its eight off-X entries are 0.0) has two more
-symmetries, so both searches cover one octant, the one spanned by
-e1 = (cos psi0, sin psi0, 0), e2 = (-sin psi0, cos psi0, 0) and e3 = z,
-with psi0 = -arg(rho_12 rho_03)/2 (0 when rho_12 rho_03 = 0, where rho
-is symmetric under every rotation about z).  Either objective takes the
-same value at the eight sign flips of u in that frame, because:
-- rho commutes with Z = sigma_z (x) sigma_z, so Z L(u) Z = L(R u) and the
-  conditional states at u and R u are unitarily equivalent (R the
-  rotation by pi about z);
-- rho* = W^dag rho W for a diagonal product W = w_A (x) w_B,
-  w_A = diag(1, e^{2 i psi0}), so L(u)* is unitarily similar to L(M u)
-  and the conditional states at M u are those at u conjugated (M the
-  reflection in the meridian plane at psi0);
-- u -> -u, as above.
-R, M and -1 generate the eight sign flips.  The certificate of
-max_fidelity_bruteforce adds a per-state margin for the rounding of the
-blocks L(x), L(y), L(z) that the first two use (_symmetry_margin).
+An exactly X-shaped state (its eight off-X entries are 0.0) needs one
+quarter meridian, [z, e1] with e1 = (cos psi0, sin psi0, 0), psi0 =
+-arg(x y)/2, x = rho_12, y = rho_03.  Write u = (n cos psi, n sin psi, m)
+and c = cos(2 psi + arg x y).  At every latitude:
+- F is nondecreasing in c.  The characteristic polynomial p of L(u)
+  (closed_forms.char_poly_coeffs) has dp/dc = -kappa l^2,
+  kappa = 2 n^2 |x y|, so a root moves as dl/dc = kappa l^2/p'(l).  For
+  full-rank rho, L(u) is congruent to sigma_u (x) I: its eigenvalues are
+  a >= b > 0 > -s >= -t, g = 2F - 1 = 2(a + b) + t3 with t3 free of c,
+  and dg/dc = 2 kappa (a^2/p'(a) + b^2/p'(b)), p'(a) > 0 > p'(b), has the
+  sign of a^2 (b+s)(b+t) - b^2 (a+s)(a+t) = (a - b)[ab(s+t) + st(a+b)]
+  >= 0.  Rank-deficient states follow by continuity.
+- The conditional entropy is nonincreasing in c: the outcome
+  probabilities and the diagonals of the conditional states of B do not
+  depend on psi, their off-diagonal entries have squared moduli
+  proportional to n^2 (|x|^2 + |y|^2 + 2 |x y| c), and a qubit's entropy
+  falls as that modulus grows.
+rho commutes with sigma_z (x) sigma_z, so the rotation of u by pi about
+z, and with u -> -u its z-mirror, change neither objective.  Both optima
+lie on the arc; _meridian_margin covers the rounding.
 """
 
 from __future__ import annotations
@@ -70,34 +64,30 @@ VANISHING_PRIOR = 1e-12
 FREE_FAMILY_MIN_SIN = 0.1
 OPTIMA_MIN_ANGLE = 0.1     # radians, up to sign, between two reported optima
 
-# max_fidelity_bruteforce's branch-and-bound (BNB_EPS on F), its budgets, the
-# most rows per eigvalsh call, and the rounding allowance of a computed g = 2F - 1
+# max_fidelity_bruteforce's branch-and-bound (BNB_EPS on F), its budgets (a quarter meridian whose
+# first 33 vertices all tie is flat), the most rows per eigvalsh call, the rounding of a computed g = 2F - 1
 BNB_EPS = 1e-12
+ARC_BUDGET = 33
 FAMILY_BUDGET = 2048
 MAX_EVALS = 8192
 EIG_BATCH = 4096
 WEYL_MARGIN = 64 * np.finfo(float).eps
+ARC_ROUNDING = 64 * np.finfo(float).eps    # the arc's distance from the meridian (_meridian_margin)
 
-# the start mesh of both sphere searches (_start_mesh) and its split (_split)
+# the start meshes (_start_mesh); a cell's edges and children (_split), as columns of it and its midpoints
 _OCTAHEDRON = np.vstack([np.eye(3)[:2], -np.eye(3)[:2], np.eye(3)[2]])   # +x, +y, -x, -y, +z
 _UPPER_FACES = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
-_OCTANT_FACE = np.array([[0, 1, 2]])    # the rows of an octant frame
-# the children of (t0, t1, t2) as columns of (t0, t1, t2, m01, m12, m20), m_ij midpoints
-_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
+_EDGES = {2: [[0, 1]], 3: [[0, 1], [1, 2], [2, 0]]}
+_CHILDREN = {2: np.array([[0, 2], [2, 1]]), 3: np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])}
 
-# entropic_discord's search (its objective is not convex): the vertices of
-# the start mesh split ENTROPIC_SPLITS times (edges 0.049 to 0.076 rad),
-# then at most REFINE_ITERS compass-search iterations from the best five.
-# THETA_AXIS and PSI_AXIS set the compass steps and the rows and arcs of
-# _detect_free_family.
+# entropic_discord: the start mesh split ENTROPIC_SPLITS times (edges 0.049
+# to 0.076 rad), then at most REFINE_ITERS compass iterations from the best
+# five; THETA_AXIS and PSI_AXIS set the compass steps and the rows and arcs
+# of _detect_free_family
 ENTROPIC_SPLITS = 5
 THETA_AXIS = np.linspace(0.0, np.pi, 64)
 PSI_AXIS = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
 REFINE_ITERS = 200
-
-# sigma_z (x) sigma_z and the sign flips of an octant frame
-_ZZ = np.array([1.0, -1.0, -1.0, 1.0])
-_SIGN_FLIPS = np.array([[i, j, k] for i in (1.0, -1.0) for j in (1.0, -1.0) for k in (1.0, -1.0)])
 
 
 @dataclass(frozen=True)
@@ -224,21 +214,28 @@ def _directions(thetas: np.ndarray, psis: np.ndarray) -> np.ndarray:
     return np.stack([st * np.cos(psis), st * np.sin(psis), np.cos(thetas)], axis=-1)
 
 
-def _lambda_blocks(rho) -> np.ndarray:
-    """The Hermitised blocks L(x), L(y), L(z) of rho as a (3, 4, 4) array."""
-    root = psd_sqrt(rho)
+def _root(rho) -> np.ndarray:
+    """sqrt(rho); for an exactly X-shaped rho, the roots of its inner and
+    outer blocks in the X pattern, Hermitised: exactly Hermitian, X-shaped."""
+    if np.any(rho[OFF_X]):
+        return psd_sqrt(rho)
+    root = np.zeros((4, 4), dtype=complex)
+    for block in (np.ix_([1, 2], [1, 2]), np.ix_([0, 3], [0, 3])):
+        root[block] = psd_sqrt(rho[block])
+    return (root + root.conj().T) / 2.0
+
+
+def _lambda_blocks(root) -> np.ndarray:
+    """The Hermitised L(x), L(y), L(z) as (3, 4, 4), root = _root(rho)."""
     blocks = np.stack([root @ np.kron(s, I2) @ root for s in PAULI])
     return (blocks + np.conj(np.swapaxes(blocks, 1, 2))) / 2.0
 
 
 def _objective_batch_factory(blocks):
     """Vectorized map from (N, 3) unit vectors to g(u) = 2 F(u) - 1, from
-    the blocks of _lambda_blocks.
-
-    Every L(u) = u . (L(x), L(y), L(z)) is Hermitian by construction, and
-    a batch is one (N, 3) @ (3, 16) product, eigensolved EIG_BATCH rows at
-    a time.
-    """
+    the blocks of _lambda_blocks: every L(u) = u . (L(x), L(y), L(z)) is
+    Hermitian by construction, and a batch is one (N, 3) @ (3, 16) product,
+    eigensolved EIG_BATCH rows at a time."""
     base = blocks.reshape(3, 16)
 
     def objective(u: np.ndarray) -> np.ndarray:
@@ -251,89 +248,71 @@ def _objective_batch_factory(blocks):
     return objective
 
 
-def _x_meridian(rho):
-    """psi0 = -arg(rho_12 rho_03)/2 when rho is exactly X-shaped (its eight
-    off-X entries are 0.0), else None."""
-    if np.any(rho[OFF_X]):
-        return None
-    return -0.5 * float(np.angle(rho[1, 2] * rho[0, 3]))
+def _start_mesh(mat) -> tuple:
+    """(verts, cells): the quarter meridian arc [z, e1] for an exactly
+    X-shaped mat (rho or _root(rho); module docstring), else the four upper
+    octahedron faces."""
+    if np.any(mat[OFF_X]):
+        return _OCTAHEDRON, _UPPER_FACES
+    psi0 = -0.5 * (np.angle(mat[1, 2]) + np.angle(mat[0, 3]))
+    return np.array([[0.0, 0.0, 1.0], [np.cos(psi0), np.sin(psi0), 0.0]]), np.array([[0, 1]])
 
 
-def _octant_frame(psi0: float) -> np.ndarray:
-    """The rows e1, e2, e3 that span the octant searched for an X-state."""
-    c, s = np.cos(psi0), np.sin(psi0)
-    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _start_mesh(rho):
-    """(psi0, verts, tris), the start mesh of both sphere searches: the one
-    octant triangle of the frame at psi0 = _x_meridian(rho) for an exactly
-    X-shaped rho, else the four upper octahedron faces (psi0 None)."""
-    psi0 = _x_meridian(rho)
-    if psi0 is None:
-        return None, _OCTAHEDRON, _UPPER_FACES
-    return psi0, _octant_frame(psi0), _OCTANT_FACE
-
-
-def _split(verts: np.ndarray, tris: np.ndarray) -> tuple:
-    """Split each spherical triangle (rows of indices into the unit rows of
-    verts) into four at its normalised edge midpoints.  Returns (mids,
-    children): the new vertices, one per distinct edge, which take the
-    indices after verts, and the child triangles."""
-    n = verts.shape[0]
-    edges = np.sort(tris[:, [[0, 1], [1, 2], [2, 0]]], axis=2)
+def _split(verts: np.ndarray, cells: np.ndarray) -> tuple:
+    """Split each cell (an arc or a spherical triangle: rows of two or three
+    indices into the unit rows of verts) into two or four at its normalised
+    edge midpoints.  Returns (mids, children): the new vertices, one per
+    distinct edge, which take the indices after verts, and the children."""
+    n, k = verts.shape[0], cells.shape[1]
+    edges = np.sort(cells[:, _EDGES[k]], axis=2)
     keys, slot = np.unique(edges[..., 0] * n + edges[..., 1], return_inverse=True)
     mids = verts[keys // n] + verts[keys % n]
     mids /= np.linalg.norm(mids, axis=1)[:, None]
-    return mids, np.hstack([tris, n + slot.reshape(-1, 3)])[:, _CHILDREN].reshape(-1, 3)
+    return mids, np.hstack([cells, n + slot.reshape(cells.shape[0], -1)])[:, _CHILDREN[k]].reshape(-1, k)
 
 
-def _octant_images(points: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """The eight sign flips in the frame of each (N, 3) point, as (8 N, 3)
-    rows, each point's own image first."""
-    return ((points @ frame.T)[:, None, :] * _SIGN_FLIPS).reshape(-1, 3) @ frame
+def _meridian_margin(root) -> float:
+    """A bound on max g over the sphere less max g over the quarter arc,
+    g = 2F - 1 from _lambda_blocks(root), root = S = _root(rho) X-shaped.
 
-
-def _symmetry_margin(rho, psi0: float, blocks: np.ndarray) -> float:
-    """A bound on |g(S u) - g(u)| over the eight sign flips S of the
-    octant frame at psi0, for g computed from blocks = _lambda_blocks(rho).
-
-    g(-u) = g(u) exactly.  The residuals of Z B Z = diag(-1, -1, 1) B
-    and of W B* W^dag = M B (module docstring) bound the other two
-    generators: g is 1-Lipschitz in trace norm (it is a maximum of
-    tr[(2P - I) L] with |2P - I| = 1), and the trace norm of a 4x4 matrix
-    is at most twice its Frobenius norm.  Any S composes at most one of each.
+    S is exactly Hermitian, and (S^2)_12 = S_12 (S_11 + S_22), (S^2)_03 =
+    S_03 (S_00 + S_33) with factors >= 0, so the exact g of S (u . sigma
+    (x) I) S peaks on the meridian at -arg(S_12 S_03)/2.  g is 1-Lipschitz
+    in trace norm, and ||S (w . sigma (x) I) S||_1 <= |w| ||S||_F^2.
+    - S (sigma_k (x) I) is exact; the second product and the Hermitisation
+      move each entry by at most gamma_7 (P_k)_ij, P_k = |S| |sigma_k (x) I|
+      |S|, gamma_7 = 7 u_r/(1 - 7 u_r), u_r = 2^-53 (Higham, Accuracy and
+      Stability of Numerical Algorithms, Lemma 3.5).  A 4x4 trace norm is
+      at most twice the Frobenius norm: at a unit axis g moves by at most
+      e = 2 gamma_7 |(||P_k||_F)_k|.
+    - psi0 (two atan2 of two ulps, a sum) and e1 (a cos, a sin) lie within
+      7 eps of the meridian.  A split sets a midpoint off the plane of z
+      and e1 by its parents' mean offset over h plus 3 u_r.  Arcs narrower
+      than 4e-6 rad drop (w^2/8 + WEYL_MARGIN < 2 BNB_EPS), so at most 19
+      splits run, the 1/h multiply to at most pi/2, and the arc stays
+      within 20 * 3 u_r * pi/2 < 48 eps of that plane; 7 + 48 < 64 eps.
+    The margin is 2 e (at the axis and on the arc) + ARC_ROUNDING ||S||_F^2.
     """
-    alpha = 2.0 * psi0
-    x, y = rho[1, 2], rho[0, 3]
-    beta = alpha + 2.0 * np.angle(x) if x else -alpha - 2.0 * np.angle(y)
-    w = np.exp(1j * np.array([0.0, beta, alpha, alpha + beta]))
-    mirror = np.array([[np.cos(alpha), np.sin(alpha), 0.0],
-                       [np.sin(alpha), -np.cos(alpha), 0.0],
-                       [0.0, 0.0, 1.0]])
-    z_res = blocks * np.outer(_ZZ, _ZZ) - np.array([-1.0, -1.0, 1.0])[:, None, None] * blocks
-    w_res = w[:, None] * blocks.conj() * w.conj() - np.einsum("kj,jab->kab", mirror, blocks)
-    return 2.0 * float(np.linalg.norm(z_res, axis=(1, 2)).sum() + np.linalg.norm(w_res, axis=(1, 2)).sum())
+    u_r = np.finfo(float).eps / 2.0
+    mag = np.abs(root)
+    p_norms = [np.linalg.norm(mag @ np.abs(np.kron(s, I2)) @ mag) for s in PAULI]
+    e = 2.0 * (7.0 * u_r / (1.0 - 7.0 * u_r)) * np.linalg.norm(p_norms)
+    return float(2.0 * e + ARC_ROUNDING * np.vdot(root, root).real)
 
 
 def _on_angles(fn):
-    """fn of (N, 3) unit vectors as a map from (N, 2) (theta, psi) rows, for
-    the compass search."""
+    """fn of (N, 3) unit vectors as a map of (N, 2) (theta, psi) rows."""
     return lambda tp: fn(_directions(tp[:, 0], tp[:, 1]))
 
 
 def _compass_batch(fn, starts: np.ndarray, steps):
-    """Minimize fn over 2-d points by compass search, one search per start,
-    all in lockstep.
-
-    fn maps (N, 2) -> (N,).  The first call re-evaluates the starts; each
-    later call evaluates the four moves +-h_theta, +-h_psi of every live
-    start.  A start moves to its best trial point only when that point is
-    strictly lower, otherwise both of its steps halve, so its value never
-    rises.  A start drops out once its four trial values all lie within
-    1e-12 of its value or its larger step is below 1e-10; the search
-    stops after REFINE_ITERS trial calls.  Returns (points, values).
-    """
+    """Minimize fn: (N, 2) -> (N,) by compass search from each start, all
+    in lockstep.  The first call re-evaluates the starts; each later call
+    the moves +-h_theta, +-h_psi of every live start.  A start moves to its
+    best trial point only when that is strictly lower, else both its steps
+    halve, so its value never rises; it drops out once its trial values
+    all lie within 1e-12 of its value or its larger step is below 1e-10.
+    At most REFINE_ITERS trial calls.  Returns (points, values)."""
     pts = np.array(starts, dtype=float)
     vals = fn(pts)
     h = np.tile(np.asarray(steps, dtype=float), (pts.shape[0], 1))
@@ -356,11 +335,10 @@ def _compass_batch(fn, starts: np.ndarray, steps):
 
 
 def _detect_free_family(objective, vals, best_u):
-    """Classify a family of maxima of g from its values vals at every
-    evaluated point and the best point best_u: the whole sphere when all
-    tie, else a psi circle through best_u, else a theta arc.  At a pole
-    psi is arbitrary, so the arc's psi comes from a compass search along
-    the row theta = THETA_AXIS[1], from that row's best point."""
+    """The family of maxima of g of a non-X state from its values vals at
+    every evaluated point and the best point best_u: the whole sphere when
+    all tie, else a psi circle through best_u, else a theta arc, whose psi
+    at a pole comes from a compass search along theta = THETA_AXIS[1]."""
     floor = vals.max() - 2.0 * OPTIMUM_CLUSTER_TOL
     if np.all(vals >= floor):
         return "free_sphere"
@@ -379,15 +357,34 @@ def _detect_free_family(objective, vals, best_u):
     return None
 
 
-def _triangle_bounds(verts: np.ndarray, vals: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Upper bound on g over each spherical triangle (rows of vertex
-    indices): max_i g(v_i)/h, h the distance from the origin to the plane
-    of the unit vertices v_i, capped at g <= 1, plus WEYL_MARGIN."""
-    a, b, c = verts[tris.T]
-    (px, py, pz), (qx, qy, qz) = (b - a).T, (c - a).T
-    normal = np.stack([py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx], axis=1)
-    h = np.abs(np.einsum("ti,ti->t", normal, a)) / np.sqrt(np.einsum("ti,ti->t", normal, normal))
-    return np.minimum(vals[tris].max(axis=1) / h, 1.0) + WEYL_MARGIN
+def _all_tie(vals) -> bool:
+    return bool(np.all(vals >= vals.max() - 2.0 * OPTIMUM_CLUSTER_TOL))
+
+
+def _meridian_family(objective, verts, vals) -> str | None:
+    """The family of maxima of g of an X-state from vals at the arc verts
+    (e1 second): the meridian is flat when all tie, and a psi circle ties
+    when its lowest point, at psi0 + pi/2 (c = -1), does; tested at e1 if
+    flat, else at the best vertex off the poles."""
+    flat = _all_tie(vals)
+    u = verts[1] if flat else verts[np.argmax(vals)]
+    tied = bool(np.hypot(u[0], u[1]) >= FREE_FAMILY_MIN_SIN and objective(
+        np.array([[-u[1], u[0], u[2]]]))[0] >= vals.max() - 2.0 * OPTIMUM_CLUSTER_TOL)
+    return (None, "free_psi", "free_theta", "free_sphere")[2 * flat + tied]
+
+
+def _triangle_bounds(verts: np.ndarray, vals: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Upper bound on g over each cell: max_i g(v_i)/h, h the distance from
+    0 to the chord (|v0 + v1|/2) or plane of its unit vertices v_i, capped
+    at g <= 1, plus WEYL_MARGIN."""
+    if cells.shape[1] == 2:
+        h = np.linalg.norm(verts[cells[:, 0]] + verts[cells[:, 1]], axis=1) / 2.0
+    else:
+        a, b, c = verts[cells.T]
+        (px, py, pz), (qx, qy, qz) = (b - a).T, (c - a).T
+        normal = np.stack([py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx], axis=1)
+        h = np.abs(np.einsum("ti,ti->t", normal, a)) / np.sqrt(np.einsum("ti,ti->t", normal, normal))
+    return np.minimum(vals[cells].max(axis=1) / h, 1.0) + WEYL_MARGIN
 
 
 def max_fidelity_bruteforce(rho) -> DiscordResult:
@@ -395,63 +392,64 @@ def max_fidelity_bruteforce(rho) -> DiscordResult:
     evaluated axis, and fidelity_upper >= F at every axis.
 
     F = (1 + g)/2, g(u) = l1 + l2 - l3 - l4 of L(u) = the largest
-    tr[(2P - I) L(u)] over rank-two projectors P, so g is convex, even
-    and positively 1-homogeneous.  On a spherical triangle, u = w/|w| with
-    w on the flat triangle of its vertices v_i and |w| >= h, the plane's
-    distance from 0: g(u) <= max_i g(v_i)/h.  The frontier starts as the
-    octahedron's four upper faces, or, for an exactly X-shaped rho, as
-    the one octant triangle of its frame (module docstring).  Each level
-    drops the triangles bounded by the best vertex value plus 2 BNB_EPS,
-    splits the rest into four at normalised edge midpoints and evaluates
-    the new vertices in one batch.  An empty frontier certifies
-    fidelity_upper - fidelity <= BNB_EPS (for the computed sqrt(rho)),
-    plus, for an X-state, half its _symmetry_margin, which extends the
-    octant's bound to the sphere.  At FAMILY_BUDGET evaluations the
-    free-family rules run once, and a family, or a next level past
-    MAX_EVALS (after a compass search from the best vertex), returns the
-    honest, wider interval of the open triangles.  The axes within
-    OPTIMUM_CLUSTER_TOL of the best (for an X-state, with their eight
-    images), OPTIMA_MIN_ANGLE apart up to sign, are reported as pairs
-    u, -u; a family gets one pair, its best vertex.
+    tr[(2P - I) L(u)] over rank-two projectors P: convex, even,
+    nonnegative, 1-homogeneous.  So on a cell g <= max_i g(v_i)/h, h the
+    distance from 0 to the chord or flat triangle of its vertices v_i.
+    Each level drops the cells bounded by the best vertex plus 2 BNB_EPS
+    and splits the rest.  An empty frontier certifies fidelity_upper -
+    fidelity <= BNB_EPS (for the computed sqrt(rho)), plus, for an
+    X-state, half its _meridian_margin.  An X-state's family comes from
+    the arc (_meridian_family) when the frontier empties or ARC_BUDGET
+    vertices all tie.  Other states run the free-family rules at
+    FAMILY_BUDGET evaluations; a family, or a level past MAX_EVALS (after
+    a compass search from the best vertex), returns the wider interval of
+    the open cells.  Axes within OPTIMUM_CLUSTER_TOL of the best (for an
+    X-state, with their z-mirrors), OPTIMA_MIN_ANGLE apart up to sign, are
+    reported as pairs u, -u; a family gets its best vertex.
     """
-    rho = check_density_matrix(rho)
-    blocks = _lambda_blocks(rho)
-    objective = _objective_batch_factory(blocks)
-    psi0, verts, tris = _start_mesh(rho)
-    margin = 0.0 if psi0 is None else _symmetry_margin(rho, psi0, blocks)
+    return _max_fidelity_bruteforce(check_density_matrix(rho))
+
+
+def _max_fidelity_bruteforce(rho) -> DiscordResult:
+    """max_fidelity_bruteforce of a validated density matrix."""
+    root = _root(rho)
+    objective = _objective_batch_factory(_lambda_blocks(root))
+    verts, cells = _start_mesh(root)
+    arc = cells.shape[1] == 2
     vals = objective(verts)
     upper, family, checked = -np.inf, None, False
     while True:
-        bounds = _triangle_bounds(verts, vals, tris)
+        bounds = _triangle_bounds(verts, vals, cells)
         live = bounds > vals.max() + 2.0 * BNB_EPS
         upper = max(upper, bounds.max(initial=-np.inf, where=~live))
-        tris = tris[live]
-        if tris.shape[0] == 0:
-            family = "free_sphere" if np.all(vals >= vals.max() - 2.0 * OPTIMUM_CLUSTER_TOL) else None
+        cells = cells[live]
+        if cells.shape[0] == 0 or arc and vals.size >= ARC_BUDGET and _all_tie(vals):
+            family = _meridian_family(objective, verts, vals) if arc else ("free_sphere" if _all_tie(vals) else None)
             break
-        if not checked and vals.size >= FAMILY_BUDGET:
+        if not (arc or checked) and vals.size >= FAMILY_BUDGET:
             checked, family = True, _detect_free_family(objective, vals, verts[np.argmax(vals)])
             if family is not None:
                 break
-        mids, children = _split(verts, tris)
+        mids, children = _split(verts, cells)
         if vals.size + mids.shape[0] > MAX_EVALS:
             best = MeasurementDirection(tuple(verts[np.argmax(vals)]))
-            step = np.linalg.norm(verts[tris[0, 0]] - verts[tris[0, 1]])
+            step = np.linalg.norm(verts[cells[0, 0]] - verts[cells[0, 1]])
             pts, neg = _compass_batch(_on_angles(lambda u: -objective(u)), [[best.theta, best.psi]], (step, step))
             verts, vals = np.vstack([verts, _directions(pts[:, 0], pts[:, 1])]), np.append(vals, -neg)
             break
-        tris, verts, vals = children, np.vstack([verts, mids]), np.append(vals, objective(mids))
+        cells, verts, vals = children, np.vstack([verts, mids]), np.append(vals, objective(mids))
 
     order = np.argsort(-vals, kind="stable")
     ties = verts[order[vals[order] >= vals[order[0]] - 2.0 * OPTIMUM_CLUSTER_TOL]]
-    if psi0 is not None and family is None:
-        ties = _octant_images(ties, _octant_frame(psi0))
+    if arc and family is None:
+        ties = np.stack([ties, ties * [1.0, 1.0, -1.0]], axis=1).reshape(-1, 3)
     chosen = []
     while ties.shape[0] and not (family and chosen):
         chosen.append(ties[0])
         ties = ties[np.abs(ties @ ties[0]) < np.cos(OPTIMA_MIN_ANGLE)]
     pairs = [MeasurementDirection(tuple(sign * u)) for u in chosen for sign in (1.0, -1.0)]
     pairs.sort(key=lambda m: (round(m.theta, 9), round(m.psi, 9)))
+    margin = _meridian_margin(root) if arc else 0.0
     return make_result(0.5 * (1.0 + vals.max()), pairs, "bruteforce", family,
                        fidelity_upper=float(0.5 * (1.0 + max(upper, bounds.max()) + margin)))
 
@@ -540,7 +538,11 @@ def induced_ensemble(rho, direction: MeasurementDirection) -> QsdEnsemble:
 
 def mutual_information(rho) -> float:
     """S(rho_A) + S(rho_B) - S(rho) in bits."""
-    rho = check_density_matrix(rho)
+    return _mutual_information(check_density_matrix(rho))
+
+
+def _mutual_information(rho) -> float:
+    """mutual_information of a validated density matrix."""
     return (von_neumann_entropy(partial_trace_B(rho))
             + von_neumann_entropy(partial_trace_A(rho))
             - von_neumann_entropy(rho))
@@ -579,23 +581,20 @@ def entropic_discord(rho) -> tuple:
 
     classical_corr = S(rho_B) - min over axes of the average conditional
     entropy of B; discord = mutual information - classical_corr.  The
-    objective is not convex, so the search scans the vertices of the start
-    mesh of max_fidelity_bruteforce (_start_mesh) split ENTROPIC_SPLITS
-    times, 2113 on the upper hemisphere or 561 on the octant of an exactly
-    X-shaped rho (the average entropy is even in u and, for an X-state,
-    takes the same value at the eight sign flips; module docstring).  A
-    compass search from the five best vertices, which moves only to
-    strictly lower points, refines the minimum.
+    objective is not convex, so the search scans the start mesh split
+    ENTROPIC_SPLITS times, 2113 vertices on the upper hemisphere or 33 on
+    the quarter meridian of an X-state (module docstring), then refines the
+    five best by a compass search that moves only to strictly lower points.
     """
     rho = check_density_matrix(rho)
     fn = _conditional_entropy_factory(rho)
-    _, verts, tris = _start_mesh(rho)
+    verts, cells = _start_mesh(rho)
     for _ in range(ENTROPIC_SPLITS):
-        mids, tris = _split(verts, tris)
+        mids, cells = _split(verts, cells)
         verts = np.vstack([verts, mids])
     best = verts[np.argsort(fn(verts), kind="stable")[:5]]
     starts = [[d.theta, d.psi] for d in (MeasurementDirection(tuple(u)) for u in best)]
     steps = (0.5 * np.pi / THETA_AXIS.size, np.pi / PSI_AXIS.size)
     _, vals = _compass_batch(_on_angles(fn), starts, steps)
     classical = von_neumann_entropy(partial_trace_A(rho)) - float(vals.min())
-    return float(classical), float(mutual_information(rho) - classical)
+    return float(classical), float(_mutual_information(rho) - classical)

@@ -4,11 +4,11 @@ On random full-rank states, random X-states, a=d, b=c states, rank-two
 X-states (b = c = |x| and both determinant factors zero), classical
 states, Werner states, free-psi states and boundary-arc states, the
 branch-and-bound result must satisfy:
-- F at 200 random axes over the whole sphere, not only the octant an
-  X-state's search covers, never exceeds fidelity_upper;
+- F at 200 random axes over the whole sphere, not only the quarter
+  meridian an X-state's search covers, never exceeds fidelity_upper;
 - fidelity is attained at one of optimal_directions within 1e-12;
 - fidelity_upper - fidelity is at most BNB_EPS plus the rounding margin,
-  plus an X-state's symmetry margin, whenever the search converged,
+  plus an X-state's meridian margin, whenever the search converged,
   which it has whenever it used fewer than FAMILY_BUDGET evaluations and
   reports no family;
 - fidelity is not below symmetric_fidelity or degenerate_fidelity where
@@ -34,9 +34,9 @@ from buresdiscord.discord_core import (
     FAMILY_BUDGET,
     WEYL_MARGIN,
     MeasurementDirection,
-    _lambda_blocks,
-    _symmetry_margin,
-    _x_meridian,
+    _meridian_margin,
+    _root,
+    _start_mesh,
     fidelity_at_direction,
     max_fidelity_bruteforce,
 )
@@ -105,8 +105,8 @@ def test_interval_holds_every_axis(sampler, rng_seed):
     assert min(abs(f - res.fidelity) for f in attained) <= ATTAINED_TOL
     assert res.fidelity <= res.fidelity_upper
     if res.degenerate_family is None and evals < FAMILY_BUDGET:
-        psi0 = _x_meridian(rho)
-        margin = 0.0 if psi0 is None else _symmetry_margin(rho, psi0, _lambda_blocks(rho))
+        root = _root(rho)
+        margin = _meridian_margin(root) if _start_mesh(root)[1].shape[1] == 2 else 0.0
         assert res.fidelity_upper - res.fidelity <= BNB_EPS + WEYL_MARGIN + margin
 
     if sampler == "symmetric":

@@ -180,7 +180,7 @@ class TestCcsCommand:
             raise AssertionError("max_fidelity_bruteforce called")
 
         monkeypatch.setattr(cli, "max_fidelity_bruteforce", forbidden)
-        monkeypatch.setattr(closed_forms, "max_fidelity_bruteforce", forbidden)
+        monkeypatch.setattr(closed_forms, "_max_fidelity_bruteforce", forbidden)
         code, report = run_json(capsys, ["ccs", "--input", str(GOLDEN_INPUTS / "symmetric.json")])
         assert code == 0
         assert report["a_classical"]

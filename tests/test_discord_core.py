@@ -10,14 +10,17 @@ from buresdiscord.discord_core import (
     BNB_EPS,
     EIG_BATCH,
     MAX_EVALS,
+    WEYL_MARGIN,
     MeasurementDirection,
     QsdEnsemble,
     _compass_batch,
     _conditional_entropy_factory,
     _directions,
     _lambda_blocks,
+    _meridian_margin,
     _objective_batch_factory,
     _on_angles,
+    _root,
     ccs_from_measurement,
     dephasing_residual,
     entropic_discord,
@@ -43,6 +46,7 @@ from buresdiscord.sampling import (
     random_classical_params,
     random_degenerate_params,
     random_direction,
+    random_free_psi_params,
     random_state,
     random_symmetric_params,
     random_x_params,
@@ -132,7 +136,7 @@ class TestObjective:
         for rho in [random_state(rng), x_state(random_degenerate_params(rng, kind="bc"))]:
             tp = np.column_stack([rng.uniform(0.0, np.pi, 40), rng.uniform(0.0, 2.0 * np.pi, 40)])
             single = [fidelity_at_direction(rho, MeasurementDirection.from_angles(t, p)) for t, p in tp]
-            g = _objective_batch_factory(_lambda_blocks(rho))(_directions(tp[:, 0], tp[:, 1]))
+            g = _objective_batch_factory(_lambda_blocks(_root(rho)))(_directions(tp[:, 0], tp[:, 1]))
             assert_allclose(0.5 * (1.0 + g), single, rtol=0.0, atol=1e-13)
 
     def test_at_least_half(self):
@@ -221,15 +225,15 @@ class TestBruteForce:
                   + [x_state(werner_params(w)) for w in (0.0, 0.3, 1.0)]
                   + [x_state(arc)])
         for rho in states:
-            best_cell = 0.5 * (1.0 + _objective_batch_factory(_lambda_blocks(rho))(cells).max())
+            best_cell = 0.5 * (1.0 + _objective_batch_factory(_lambda_blocks(_root(rho)))(cells).max())
             res = max_fidelity_bruteforce(rho)
             assert res.fidelity >= best_cell - BNB_EPS
             assert res.fidelity_upper >= best_cell
 
     def test_scan_evaluates_the_upper_half_only(self, monkeypatch):
         # entropic_discord scans the start mesh split five times: the upper
-        # hemisphere (2113 vertices) for a non-X state, one octant (561) for
-        # an X-state
+        # hemisphere (2113 vertices) for a non-X state, the quarter meridian
+        # (33) for an X-state
         batches = []
 
         def counting_factory(rho):
@@ -245,11 +249,11 @@ class TestBruteForce:
         assert batches[0] == 2113
         batches.clear()
         entropic_discord(x_state(random_x_params(np.random.default_rng(18))))
-        assert batches[0] == 561
+        assert batches[0] == 33
 
     def test_branch_and_bound_batches(self, monkeypatch):
         # the first batch is the five upper octahedron vertices for a non-X
-        # state and the three octant vertices for an X-state, eigvalsh
+        # state and the two ends of the quarter meridian for an X-state, eigvalsh
         # never takes more than EIG_BATCH rows, and both stay under
         # MAX_EVALS evaluations
         batches, eig_rows = [], []
@@ -275,11 +279,10 @@ class TestBruteForce:
         batches.clear()
         params = random_x_params(np.random.default_rng(18))
         max_fidelity_bruteforce(x_state(params))
-        psi0 = -np.angle(params.x * params.y) / 2.0
-        octant = [[np.cos(psi0), np.sin(psi0), 0], [-np.sin(psi0), np.cos(psi0), 0], [0, 0, 1]]
-        assert_allclose(batches[0], octant, rtol=0.0, atol=1e-15)
+        psi0 = -(np.angle(params.x) + np.angle(params.y)) / 2.0
+        assert_allclose(batches[0], [[0, 0, 1], [np.cos(psi0), np.sin(psi0), 0]], rtol=0.0, atol=1e-15)
         assert sum(b.shape[0] for b in batches) < MAX_EVALS
-        fn = _objective_batch_factory(_lambda_blocks(random_state(np.random.default_rng(19))))
+        fn = _objective_batch_factory(_lambda_blocks(_root(random_state(np.random.default_rng(19)))))
         fn(np.tile([0.0, 0.0, 1.0], (EIG_BATCH + 3, 1)))
         assert max(eig_rows) == EIG_BATCH == 4096 and eig_rows[-1] == 3
 
@@ -314,6 +317,34 @@ class TestBruteForce:
             for d in max_fidelity_bruteforce(x_state(p)).optimal_directions:
                 u = np.asarray(d.u)
                 assert min(np.linalg.norm(u - exact), np.linalg.norm(u + exact)) < 1e-5
+
+    def test_flat_x_optimum_certifies(self):
+        # the 681st state of the benchmark's general_x order at seed 11: its
+        # optimum is flat but not free, and the search of the whole sphere
+        # stopped at MAX_EVALS, 1.8e-8 short of a certificate; the quarter
+        # meridian certifies it
+        params = XStateParams(0.23212481552445258, 0.27521489971054086, 0.26056665607924484,
+                              0.23209362868576172, 0.027457123713844376 - 0.011619651109412727j,
+                              -0.006539953352175827 + 0.004443432909549713j)
+        rho = x_state(params)
+        res = max_fidelity_bruteforce(rho)
+        assert res.degenerate_family is None
+        assert abs(res.fidelity - 0.9982969631952363) <= BNB_EPS
+        assert res.fidelity_upper - res.fidelity <= BNB_EPS + WEYL_MARGIN + _meridian_margin(_root(rho))
+
+    @pytest.mark.parametrize("eps, family", [
+        (0.0, "free_psi"), (1e-300, "free_psi"), (1e-14, "free_psi"), (1e-12, "free_psi"),
+        (1e-10, "free_psi"), (1e-8, "free_psi"), (1e-6, None), (1e-4, None),
+    ])
+    def test_free_psi_tag_at_small_xy(self, eps, family):
+        # the zero coherence of a free-psi state replaced by eps: the circle
+        # stays tied while F moves by less than the tie tolerance along it
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            p = random_free_psi_params(rng)
+            small = eps * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            p = XStateParams(p.a, p.b, p.c, p.d, p.x if p.x else small, p.y if p.y else small)
+            assert max_fidelity_bruteforce(x_state(p)).degenerate_family == family
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)
@@ -354,7 +385,7 @@ class TestCompassSearch:
 
     def test_never_above_its_start(self):
         rng = np.random.default_rng(22)
-        fn = _on_angles(_objective_batch_factory(_lambda_blocks(random_state(rng))))
+        fn = _on_angles(_objective_batch_factory(_lambda_blocks(_root(random_state(rng)))))
         starts = np.column_stack([rng.uniform(0.0, np.pi, 20), rng.uniform(0.0, 2.0 * np.pi, 20)])
         _, vals = _compass_batch(fn, starts, (0.3, 0.3))
         assert np.all(vals <= fn(starts))
@@ -362,7 +393,7 @@ class TestCompassSearch:
 
 class TestMirroredScan:
     @pytest.mark.parametrize("factory", [
-        pytest.param(lambda rho: _objective_batch_factory(_lambda_blocks(rho)),
+        pytest.param(lambda rho: _objective_batch_factory(_lambda_blocks(_root(rho))),
                      id="_objective_batch_factory"),
         _conditional_entropy_factory,
     ])

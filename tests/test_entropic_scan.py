@@ -7,7 +7,8 @@ reports may not fall below the best of any set of axes.  The reference
 evaluates J on a 96 x 192 (theta, psi) grid over the whole sphere, whose
 cells lie off the library's mesh, from the conditional states
 tr_A[(Pi_u (x) I) rho] with Pi_u = (I +- u . sigma)/2.  X-state samplers
-take the library's octant start, random_state its hemisphere start.
+take the library's quarter-meridian start, random_state its hemisphere
+start.
 """
 
 import numpy as np
