@@ -26,11 +26,13 @@ and c = cos(2 psi + arg x y).  At every latitude:
   and dg/dc = 2 kappa (a^2/p'(a) + b^2/p'(b)), p'(a) > 0 > p'(b), has the
   sign of a^2 (b+s)(b+t) - b^2 (a+s)(a+t) = (a - b)[ab(s+t) + st(a+b)]
   >= 0.  Rank-deficient states follow by continuity.
-- The conditional entropy is nonincreasing in c: the outcome
-  probabilities and the diagonals of the conditional states of B do not
-  depend on psi, their off-diagonal entries have squared moduli
-  proportional to n^2 (|x|^2 + |y|^2 + 2 |x y| c), and a qubit's entropy
-  falls as that modulus grows.
+- The conditional entropy is nonincreasing in c.  With rho's Bloch
+  vectors a, b and correlation matrix T, outcome s = +-1 leaves
+  p_s rho_B|s = ((1 + s u.a) I + (b + s T^T u).sigma)/4, eigenvalues
+  (p_s +- r_s)/2, p_s = (1 + s u.a)/2, r_s = |b + s T^T u|/2.  For an
+  X-state p_s and the z part of b + s T^T u do not depend on psi, the
+  in-plane part has squared length 4 n^2 (|x|^2 + |y|^2 + 2 |x y| c), and
+  at fixed p_s, p_s S(rho_B|s) falls as r_s grows.
 rho commutes with sigma_z (x) sigma_z, so the rotation of u by pi about
 z, and with u -> -u its z-mirror, change neither objective.  Both optima
 lie on the arc; _meridian_margin covers the rounding.
@@ -38,6 +40,7 @@ lie on the arc; _meridian_margin covers the rounding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +58,7 @@ from .linalg import (
     psd_sqrt,
     von_neumann_entropy,
 )
-from .states import OFF_X
+from .states import OFF_X, bloch_form
 
 DIRECTION_TOL = 1e-12
 DEGENERATE_PROJECTOR_TOL = 1e-10
@@ -548,32 +551,39 @@ def _mutual_information(rho) -> float:
             - von_neumann_entropy(rho))
 
 
+def _eta(w: np.ndarray) -> np.ndarray:
+    """w log2 w, 0 where w <= 0."""
+    pos = w > 0.0
+    return np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0)
+
+
 def _conditional_entropy_factory(rho):
     """Vectorized map from (N, 3) unit vectors u to the post-measurement
-    average entropy sum_i p_i S(rho_B|i) for the axis-u measurement on A."""
-    rho = np.asarray(rho, dtype=complex)
-    base = np.stack([rho @ np.kron(s, I2) for s in PAULI]).reshape(3, 16)
+    average entropy sum_s p_s S(rho_B|s) for the axis-u measurement on A,
+    in real arithmetic from rho's Bloch form (a, b, T): p_s rho_B|s has
+    eigenvalues (p_s +- r_s)/2 (module docstring), so each outcome adds
+    eta(p_s) - eta((p_s + r_s)/2) - eta((p_s - r_s)/2), eta(w) = w log2 w."""
+    form, signs = bloch_form(rho), np.array([1.0, -1.0])
+    a, b, t = form.c_A, form.c_B, form.T
 
     def objective(u: np.ndarray) -> np.ndarray:
-        mixed = (u @ base).reshape(-1, 4, 4)
-        out = np.zeros(u.shape[0])
-        for sign in (1.0, -1.0):
-            block = (rho[None, :, :] + sign * mixed) / 2.0
-            r4 = block.reshape(-1, 2, 2, 2, 2)
-            cond = np.einsum("nikil->nkl", r4)
-            cond = (cond + np.conj(np.swapaxes(cond, 1, 2))) / 2.0
-            probs = np.real(np.trace(cond, axis1=1, axis2=2))
-            w = np.linalg.eigvalsh(cond)
-            w = np.clip(w, 0.0, None)
-            logw = np.where(w > 0.0, np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
-            entropy_terms = -np.sum(w * logw, axis=1)
-            # w already carries the outcome probability, so entropy_terms is
-            # p * S + p * log2(p); subtract the correction
-            safe = np.where(probs > 1e-15, probs, 1.0)
-            out += entropy_terms + probs * np.log2(safe)
-        return out
+        p = (1.0 + np.outer(u @ a, signs)) / 2.0
+        r = np.linalg.norm(b + signs[:, None] * (u @ t)[:, None, :], axis=2) / 2.0
+        return (_eta(p) - _eta((p + r) / 2.0) - _eta((p - r) / 2.0)).sum(axis=1)
 
     return objective
+
+
+@functools.cache
+def _entropic_mesh(arc: bool) -> np.ndarray:
+    """A start mesh split ENTROPIC_SPLITS times, built once, read-only: the
+    upper hemisphere, or the arc [z, x] (I4 is X-shaped) to turn onto [z, e1]."""
+    verts, cells = _start_mesh(I4) if arc else (_OCTAHEDRON, _UPPER_FACES)
+    for _ in range(ENTROPIC_SPLITS):
+        mids, cells = _split(verts, cells)
+        verts = np.vstack([verts, mids])
+    verts.flags.writeable = False
+    return verts
 
 
 def entropic_discord(rho) -> tuple:
@@ -583,16 +593,16 @@ def entropic_discord(rho) -> tuple:
     entropy of B; discord = mutual information - classical_corr.  The
     objective is not convex, so the search scans the start mesh split
     ENTROPIC_SPLITS times, 2113 vertices on the upper hemisphere or 33 on
-    the quarter meridian of an X-state (module docstring), then refines the
+    the quarter meridian of an X-state (_entropic_mesh), then refines the
     five best by a compass search that moves only to strictly lower points.
     """
     rho = check_density_matrix(rho)
     fn = _conditional_entropy_factory(rho)
     verts, cells = _start_mesh(rho)
-    for _ in range(ENTROPIC_SPLITS):
-        mids, cells = _split(verts, cells)
-        verts = np.vstack([verts, mids])
-    best = verts[np.argsort(fn(verts), kind="stable")[:5]]
+    mesh = _entropic_mesh(cells.shape[1] == 2)
+    if cells.shape[1] == 2:
+        mesh = mesh[:, :1] * verts[1] + mesh[:, 2:] * verts[0]
+    best = mesh[np.argsort(fn(mesh), kind="stable")[:5]]
     starts = [[d.theta, d.psi] for d in (MeasurementDirection(tuple(u)) for u in best)]
     steps = (0.5 * np.pi / THETA_AXIS.size, np.pi / PSI_AXIS.size)
     _, vals = _compass_batch(_on_angles(fn), starts, steps)

@@ -185,13 +185,17 @@ def x_spectrum(params: XStateParams) -> XSpectrum:
     return XSpectrum(p, vecs)
 
 
+# sigma_i (x) sigma_j at [i, j], sigma_0 = I: the Pauli basis of the Bloch form
+_BASIS = np.stack([I2, *PAULI])
+_PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _BASIS, _BASIS).reshape(4, 4, 4, 4)
+_PAULI_PAIRS.flags.writeable = False
+
+
 def bloch_form(rho) -> BlochForm:
-    """Pauli expansion coefficients of a two-qubit state by trace contraction."""
-    rho = _as_complex(rho)
-    c_A = np.array([np.trace(rho @ np.kron(s, I2)).real for s in PAULI])
-    c_B = np.array([np.trace(rho @ np.kron(I2, s)).real for s in PAULI])
-    T = np.array([[np.trace(rho @ np.kron(sm, sn)).real for sn in PAULI] for sm in PAULI])
-    return BlochForm(c_A, c_B, T)
+    """Pauli expansion coefficients of a two-qubit state, tr[rho sigma_i (x)
+    sigma_j], by one contraction with the Pauli basis."""
+    coeffs = np.einsum("ijkl,lk->ij", _PAULI_PAIRS, _as_complex(rho)).real
+    return BlochForm(coeffs[1:, 0], coeffs[0, 1:], coeffs[1:, 1:])
 
 
 def from_bloch(form: BlochForm) -> np.ndarray:
@@ -202,13 +206,8 @@ def from_bloch(form: BlochForm) -> np.ndarray:
             raise InvalidParams(f"{name} must have shape {shape}")
         if np.max(np.abs(arr)) > 1.0 + PARAM_PSD_SLACK:
             raise InvalidParams(f"{name} has an entry outside [-1, 1]")
-    rho = np.eye(4, dtype=complex)
-    for i in range(3):
-        rho += form.c_A[i] * np.kron(PAULI[i], I2)
-        rho += form.c_B[i] * np.kron(I2, PAULI[i])
-        for j in range(3):
-            rho += form.T[i, j] * np.kron(PAULI[i], PAULI[j])
-    return rho / 4.0
+    coeffs = np.vstack([np.r_[1.0, form.c_B], np.column_stack([form.c_A, form.T])])
+    return np.einsum("ij,ijkl->kl", coeffs, _PAULI_PAIRS) / 4.0
 
 
 def _qubit_state(vec) -> np.ndarray:
