@@ -553,8 +553,7 @@ def _mutual_information(rho) -> float:
 
 def _eta(w: np.ndarray) -> np.ndarray:
     """w log2 w, 0 where w <= 0."""
-    pos = w > 0.0
-    return np.where(pos, w * np.log2(np.where(pos, w, 1.0)), 0.0)
+    return np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
 
 
 def _conditional_entropy_factory(rho):
@@ -576,9 +575,9 @@ def _conditional_entropy_factory(rho):
 
 @functools.cache
 def _entropic_mesh(arc: bool) -> np.ndarray:
-    """A start mesh split ENTROPIC_SPLITS times, built once, read-only: the
-    upper hemisphere, or the arc [z, x] (I4 is X-shaped) to turn onto [z, e1]."""
-    verts, cells = _start_mesh(I4) if arc else (_OCTAHEDRON, _UPPER_FACES)
+    """_start_mesh of I4 (the arc [z, x]) or of an all-ones, non-X matrix (the
+    upper hemisphere), split ENTROPIC_SPLITS times; built once, read-only."""
+    verts, cells = _start_mesh(I4 if arc else np.ones((4, 4)))
     for _ in range(ENTROPIC_SPLITS):
         mids, cells = _split(verts, cells)
         verts = np.vstack([verts, mids])
@@ -599,8 +598,9 @@ def entropic_discord(rho) -> tuple:
     rho = check_density_matrix(rho)
     fn = _conditional_entropy_factory(rho)
     verts, cells = _start_mesh(rho)
-    mesh = _entropic_mesh(cells.shape[1] == 2)
-    if cells.shape[1] == 2:
+    arc = cells.shape[1] == 2
+    mesh = _entropic_mesh(arc)
+    if arc:   # v -> v_x e1 + v_z z, verts = [z, e1], vertex order kept
         mesh = mesh[:, :1] * verts[1] + mesh[:, 2:] * verts[0]
     best = mesh[np.argsort(fn(mesh), kind="stable")[:5]]
     starts = [[d.theta, d.psi] for d in (MeasurementDirection(tuple(u)) for u in best)]
