@@ -236,8 +236,7 @@ def cmd_ccs(args) -> int:
         source = "override"
     else:
         result, _, _ = bures_discord(rho)
-        best = result.optimal_directions[0]
-        direction = MeasurementDirection.from_angles(best.theta, best.psi)
+        direction = result.optimal_directions[0]
         source = result.method
 
     ccs = ccs_from_measurement(rho, direction)

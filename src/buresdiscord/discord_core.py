@@ -10,9 +10,10 @@ An entropy-based discord is a cross-check.
 
 Both sphere searches split the cells (arcs or spherical triangles) of
 one start mesh (_start_mesh) at their midpoints (_split):
-max_fidelity_bruteforce those its bound cannot drop, entropic_discord all,
-ENTROPIC_SPLITS times.  Both objectives are even in u (L(-u) = -L(u), and
--u swaps the outcomes), so the mesh covers the upper hemisphere only.
+max_fidelity_bruteforce those its bound cannot drop; entropic_discord all,
+ENTROPIC_SPLITS times, then those around its two best vertices (_refine).
+Both objectives are even in u (L(-u) = -L(u), and -u swaps the outcomes),
+so the mesh covers the upper hemisphere only.
 
 An exactly X-shaped state (its eight off-X entries are 0.0) needs one
 quarter meridian, [z, e1] with e1 = (cos psi0, sin psi0, 0), psi0 =
@@ -77,20 +78,21 @@ EIG_BATCH = 4096
 WEYL_MARGIN = 64 * np.finfo(float).eps
 ARC_ROUNDING = 64 * np.finfo(float).eps    # the arc's distance from the meridian (_meridian_margin)
 
-# the start meshes (_start_mesh); a cell's edges and children (_split), as columns of it and its midpoints
+# the start meshes (_start_mesh) and the equator (_detect_free_family); a cell's edges and
+# children (_split), as columns of it and its midpoints
 _OCTAHEDRON = np.vstack([np.eye(3)[:2], -np.eye(3)[:2], np.eye(3)[2]])   # +x, +y, -x, -y, +z
 _UPPER_FACES = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+_EQUATOR = np.vstack([np.eye(3)[:2], -np.eye(3)[:1]])                   # +x, +y, -x
 _EDGES = {2: [[0, 1]], 3: [[0, 1], [1, 2], [2, 0]]}
 _CHILDREN = {2: np.array([[0, 2], [2, 1]]), 3: np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])}
 
-# entropic_discord: the start mesh split ENTROPIC_SPLITS times (edges 0.049
-# to 0.076 rad), then at most REFINE_ITERS compass iterations from the best
-# five; THETA_AXIS and PSI_AXIS set the compass steps and the rows and arcs
-# of _detect_free_family
+# _refine's meshes: the start mesh split ENTROPIC_SPLITS times (edges 0.049
+# to 0.076 rad), then at most ENTROPIC_REFINE levels around the two best
+# vertices; THETA_AXIS and PSI_AXIS set the arcs and circles of _detect_free_family
 ENTROPIC_SPLITS = 5
+ENTROPIC_REFINE = 17
 THETA_AXIS = np.linspace(0.0, np.pi, 64)
 PSI_AXIS = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-REFINE_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -303,45 +305,38 @@ def _meridian_margin(root) -> float:
     return float(2.0 * e + ARC_ROUNDING * np.vdot(root, root).real)
 
 
-def _on_angles(fn):
-    """fn of (N, 3) unit vectors as a map of (N, 2) (theta, psi) rows."""
-    return lambda tp: fn(_directions(tp[:, 0], tp[:, 1]))
+def _fine_mesh(verts: np.ndarray, cells: np.ndarray) -> tuple:
+    """(verts, cells) split ENTROPIC_SPLITS times."""
+    for _ in range(ENTROPIC_SPLITS):
+        mids, cells = _split(verts, cells)
+        verts = np.vstack([verts, mids])
+    return verts, cells
 
 
-def _compass_batch(fn, starts: np.ndarray, steps):
-    """Minimize fn: (N, 2) -> (N,) by compass search from each start, all
-    in lockstep.  The first call re-evaluates the starts; each later call
-    the moves +-h_theta, +-h_psi of every live start.  A start moves to its
-    best trial point only when that is strictly lower, else both its steps
-    halve, so its value never rises; it drops out once its trial values
-    all lie within 1e-12 of its value or its larger step is below 1e-10.
-    At most REFINE_ITERS trial calls.  Returns (points, values)."""
-    pts = np.array(starts, dtype=float)
-    vals = fn(pts)
-    h = np.tile(np.asarray(steps, dtype=float), (pts.shape[0], 1))
-    moves = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    live = np.arange(pts.shape[0])
-    for _ in range(REFINE_ITERS):
-        if live.size == 0:
+def _refine(fn, verts: np.ndarray, cells: np.ndarray) -> tuple:
+    """Minimize fn: (N, 3) unit rows -> (N,) over a mesh as _split takes
+    it.  Each level keeps the cells that touch their two lowest vertices,
+    splits them and evaluates the midpoints; it stops after ENTROPIC_REFINE
+    levels, or once a level's values all lie within 1e-12 of the lowest.
+    Returns (verts, vals), every evaluated vertex and its value."""
+    vals = fn(verts)
+    for _ in range(ENTROPIC_REFINE):
+        corners = np.unique(cells)
+        best = corners[np.argpartition(vals[corners], 1)[:2]]
+        mids, cells = _split(verts, cells[(cells[..., None] == best).any(axis=(1, 2))])
+        new = fn(mids)
+        verts, vals = np.vstack([verts, mids]), np.append(vals, new)
+        if np.all(new <= vals.min() + 1e-12):
             break
-        trials = pts[live, None] + moves * h[live, None]
-        trial_vals = fn(trials.reshape(-1, 2)).reshape(-1, 4)
-        pick = np.argmin(trial_vals, axis=1)
-        best = trial_vals[np.arange(live.size), pick]
-        flat = np.all(np.abs(trial_vals - vals[live, None]) <= 1e-12, axis=1)
-        moved = best < vals[live]
-        pts[live[moved]] = trials[moved, pick[moved]]
-        vals[live[moved]] = best[moved]
-        h[live[~moved]] /= 2.0
-        live = live[~flat & (h[live].max(axis=1) >= 1e-10)]
-    return pts, vals
+    return verts, vals
 
 
 def _detect_free_family(objective, vals, best_u):
     """The family of maxima of g of a non-X state from its values vals at
     every evaluated point and the best point best_u: the whole sphere when
-    all tie, else a psi circle through best_u, else a theta arc, whose psi
-    at a pole comes from a compass search along theta = THETA_AXIS[1]."""
+    all tie, else a psi circle through best_u, else a theta arc.  A tied
+    arc through a pole is a whole meridian, so there its psi is that of the
+    maximum of g on the equator: _refine of -g on the half circle [x, y, -x]."""
     floor = vals.max() - 2.0 * OPTIMUM_CLUSTER_TOL
     if np.all(vals >= floor):
         return "free_sphere"
@@ -351,10 +346,8 @@ def _detect_free_family(objective, vals, best_u):
         if np.all(objective(_directions(np.full_like(PSI_AXIS, best.theta), PSI_AXIS)) >= floor):
             return "free_psi"
     else:
-        row = objective(_directions(np.full_like(PSI_AXIS, THETA_AXIS[1]), PSI_AXIS))
-        start = np.array([[THETA_AXIS[1], PSI_AXIS[np.argmax(row)]]])
-        pts, _ = _compass_batch(_on_angles(lambda u: -objective(u)), start, (0.0, np.pi / PSI_AXIS.size))
-        psi_opt = pts[0, 1]
+        verts, neg = _refine(lambda u: -objective(u), *_fine_mesh(_EQUATOR, np.array([[0, 1], [1, 2]])))
+        psi_opt = MeasurementDirection(tuple(verts[np.argmin(neg)])).psi
     if np.all(objective(_directions(THETA_AXIS, np.full_like(THETA_AXIS, psi_opt))) >= floor):
         return "free_theta"
     return None
@@ -404,11 +397,11 @@ def max_fidelity_bruteforce(rho) -> DiscordResult:
     X-state, half its _meridian_margin.  An X-state's family comes from
     the arc (_meridian_family) when the frontier empties or ARC_BUDGET
     vertices all tie.  Other states run the free-family rules at
-    FAMILY_BUDGET evaluations; a family, or a level past MAX_EVALS (after
-    a compass search from the best vertex), returns the wider interval of
-    the open cells.  Axes within OPTIMUM_CLUSTER_TOL of the best (for an
-    X-state, with their z-mirrors), OPTIMA_MIN_ANGLE apart up to sign, are
-    reported as pairs u, -u; a family gets its best vertex.
+    FAMILY_BUDGET evaluations; a family, or a level past MAX_EVALS,
+    returns the wider interval of the open cells.  Axes within
+    OPTIMUM_CLUSTER_TOL of the best (for an X-state, with their z-mirrors),
+    OPTIMA_MIN_ANGLE apart up to sign, are reported as pairs u, -u; a
+    family gets its best vertex.
     """
     return _max_fidelity_bruteforce(check_density_matrix(rho))
 
@@ -435,10 +428,6 @@ def _max_fidelity_bruteforce(rho) -> DiscordResult:
                 break
         mids, children = _split(verts, cells)
         if vals.size + mids.shape[0] > MAX_EVALS:
-            best = MeasurementDirection(tuple(verts[np.argmax(vals)]))
-            step = np.linalg.norm(verts[cells[0, 0]] - verts[cells[0, 1]])
-            pts, neg = _compass_batch(_on_angles(lambda u: -objective(u)), [[best.theta, best.psi]], (step, step))
-            verts, vals = np.vstack([verts, _directions(pts[:, 0], pts[:, 1])]), np.append(vals, -neg)
             break
         cells, verts, vals = children, np.vstack([verts, mids]), np.append(vals, objective(mids))
 
@@ -574,15 +563,13 @@ def _conditional_entropy_factory(rho):
 
 
 @functools.cache
-def _entropic_mesh(arc: bool) -> np.ndarray:
-    """_start_mesh of I4 (the arc [z, x]) or of an all-ones, non-X matrix (the
-    upper hemisphere), split ENTROPIC_SPLITS times; built once, read-only."""
-    verts, cells = _start_mesh(I4 if arc else np.ones((4, 4)))
-    for _ in range(ENTROPIC_SPLITS):
-        mids, cells = _split(verts, cells)
-        verts = np.vstack([verts, mids])
-    verts.flags.writeable = False
-    return verts
+def _entropic_mesh(arc: bool) -> tuple:
+    """_fine_mesh of the _start_mesh of I4 (the arc [z, x]) or of an
+    all-ones, non-X matrix (the upper hemisphere); built once, read-only."""
+    mesh = _fine_mesh(*_start_mesh(I4 if arc else np.ones((4, 4))))
+    for table in mesh:
+        table.flags.writeable = False
+    return mesh
 
 
 def entropic_discord(rho) -> tuple:
@@ -592,19 +579,16 @@ def entropic_discord(rho) -> tuple:
     entropy of B; discord = mutual information - classical_corr.  The
     objective is not convex, so the search scans the start mesh split
     ENTROPIC_SPLITS times, 2113 vertices on the upper hemisphere or 33 on
-    the quarter meridian of an X-state (_entropic_mesh), then refines the
-    five best by a compass search that moves only to strictly lower points.
+    the quarter meridian of an X-state (_entropic_mesh), then splits the
+    cells around the two best vertices (_refine).
     """
     rho = check_density_matrix(rho)
     fn = _conditional_entropy_factory(rho)
     verts, cells = _start_mesh(rho)
     arc = cells.shape[1] == 2
-    mesh = _entropic_mesh(arc)
+    mesh, mesh_cells = _entropic_mesh(arc)
     if arc:   # v -> v_x e1 + v_z z, verts = [z, e1], vertex order kept
         mesh = mesh[:, :1] * verts[1] + mesh[:, 2:] * verts[0]
-    best = mesh[np.argsort(fn(mesh), kind="stable")[:5]]
-    starts = [[d.theta, d.psi] for d in (MeasurementDirection(tuple(u)) for u in best)]
-    steps = (0.5 * np.pi / THETA_AXIS.size, np.pi / PSI_AXIS.size)
-    _, vals = _compass_batch(_on_angles(fn), starts, steps)
+    _, vals = _refine(fn, mesh, mesh_cells)
     classical = von_neumann_entropy(partial_trace_A(rho)) - float(vals.min())
     return float(classical), float(_mutual_information(rho) - classical)

@@ -2,8 +2,10 @@
 
 On random full-rank states, random X-states, a=d, b=c states, rank-two
 X-states (b = c = |x| and both determinant factors zero), classical
-states, Werner states, free-psi states and boundary-arc states, the
-branch-and-bound result must satisfy:
+states, Werner states, free-psi states, boundary-arc states and
+boundary-arc states turned by a random unitary on qubit A (whose flat
+but untagged optima run the search to MAX_EVALS), the branch-and-bound
+result must satisfy:
 - F at 200 random axes over the whole sphere, not only the quarter
   meridian an X-state's search covers, never exceeds fidelity_upper;
 - fidelity is attained at one of optimal_directions within 1e-12;
@@ -48,12 +50,21 @@ from buresdiscord.sampling import (
     random_free_psi_params,
     random_state,
     random_symmetric_params,
+    random_unitary,
     random_x_params,
 )
 from buresdiscord.states import classical_state, werner_params, x_state
 
 ATTAINED_TOL = 1e-12
 CLOSED_FORM_TOL = {"symmetric": 1e-12, "ad_bc": 1e-12, "bc": 1e-8}
+
+
+def _turned_on_a(rho, rng) -> np.ndarray:
+    """(U (x) I) rho (U (x) I)^dag for a random unitary U on qubit A."""
+    u = np.kron(random_unitary(rng), np.eye(2))
+    return u @ rho @ u.conj().T
+
+
 SAMPLERS = {
     "random_state": lambda rng: (random_state(rng), None),
     "random_x": lambda rng: (None, random_x_params(rng)),
@@ -64,6 +75,7 @@ SAMPLERS = {
     "werner": lambda rng: (None, werner_params(rng.uniform(0.0, 1.0))),
     "free_psi": lambda rng: (None, random_free_psi_params(rng)),
     "boundary_arc": lambda rng: (None, random_boundary_arc_params(rng)),
+    "rotated_arc": lambda rng: (_turned_on_a(x_state(random_boundary_arc_params(rng)), rng), None),
 }
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None)

@@ -13,13 +13,11 @@ from buresdiscord.discord_core import (
     WEYL_MARGIN,
     MeasurementDirection,
     QsdEnsemble,
-    _compass_batch,
     _conditional_entropy_factory,
     _directions,
     _lambda_blocks,
     _meridian_margin,
     _objective_batch_factory,
-    _on_angles,
     _root,
     ccs_from_measurement,
     dephasing_residual,
@@ -353,42 +351,6 @@ class TestBruteForce:
         b = max_fidelity_bruteforce(rho)
         assert a.fidelity == b.fidelity
         assert a.optimal_directions == b.optimal_directions
-
-
-class TestCompassSearch:
-    def test_rotated_quadratic(self):
-        # condition number 20, minimum off the starting points
-        centre = np.array([0.3, -0.2])
-        rot = np.array([[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]])
-        hess = rot @ np.diag([1.0, 20.0]) @ rot.T
-
-        def quadratic(p):
-            d = p - centre
-            return np.einsum("ni,ij,nj->n", d, hess, d)
-
-        starts = np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 0.5]])
-        pts, vals = _compass_batch(quadratic, starts, (0.1, 0.1))
-        assert np.abs(pts - centre).max() < 1e-5
-        assert_allclose(vals, quadratic(pts), rtol=0.0, atol=0.0)
-
-    def test_constant_objective_costs_one_trial_batch(self):
-        batches = []
-
-        def constant(p):
-            batches.append(p.shape[0])
-            return np.full(p.shape[0], 0.7)
-
-        starts = np.array([[0.1, 0.2], [1.0, 3.0], [2.0, 5.0]])
-        pts, _ = _compass_batch(constant, starts, (0.1, 0.1))
-        assert batches == [3, 12]
-        assert np.array_equal(pts, starts)
-
-    def test_never_above_its_start(self):
-        rng = np.random.default_rng(22)
-        fn = _on_angles(_objective_batch_factory(_lambda_blocks(_root(random_state(rng)))))
-        starts = np.column_stack([rng.uniform(0.0, np.pi, 20), rng.uniform(0.0, 2.0 * np.pi, 20)])
-        _, vals = _compass_batch(fn, starts, (0.3, 0.3))
-        assert np.all(vals <= fn(starts))
 
 
 class TestMirroredScan:

@@ -10,7 +10,8 @@ tr_A[(Pi_u (x) I) rho] with Pi_u = (I +- u . sigma)/2.  X-state samplers
 take the library's quarter-meridian start, random_state its hemisphere
 start.  The same construction checks the library's conditional-entropy
 objective, which works from the Bloch form with no eigensolver, axis by
-axis, and that its meshes and Pauli table are built once and read-only.
+axis, and that its meshes (vertices and cells) and Pauli table are built
+once and read-only.
 """
 
 import numpy as np
@@ -147,21 +148,21 @@ def test_objective_calls_no_eigensolver(monkeypatch):
         fn(np.array([random_direction(rng) for _ in range(50)]))
 
 
-def test_meshes_are_built_once(monkeypatch):
+def test_meshes_are_built_once():
+    # one build per mesh and process: later calls only hit the cache
     rng = np.random.default_rng(25)
     x_rho, full_rho = x_state(random_x_params(rng)), random_state(rng)
+    _entropic_mesh.cache_clear()
     first = entropic_discord(x_rho), entropic_discord(full_rho)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("_split called")
-
-    monkeypatch.setattr(discord_core, "_split", refuse)
+    assert _entropic_mesh.cache_info().misses == 2
     assert (entropic_discord(x_rho), entropic_discord(full_rho)) == first
+    assert _entropic_mesh.cache_info().misses == 2
 
 
 def test_x_scan_lies_on_the_meridian(monkeypatch):
     # the cached arc [z, x] is turned onto [z, e1] of the state, vertex by
-    # vertex: each keeps its height and lies on the e1 side of the plane of z and e1
+    # vertex: each keeps its height and lies on the e1 side of the plane of
+    # z and e1, and so does every midpoint the refinement adds
     rho = x_state(random_x_params(np.random.default_rng(26)))
     e1 = discord_core._start_mesh(rho)[0][1]
     assert abs(e1[1]) > 0.1
@@ -173,11 +174,12 @@ def test_x_scan_lies_on_the_meridian(monkeypatch):
 
     monkeypatch.setattr(discord_core, "_conditional_entropy_factory", recording_factory)
     entropic_discord(rho)
-    arc = batches[0]
-    assert np.abs(arc @ np.cross([0.0, 0.0, 1.0], e1)).max() <= 1e-15
-    assert np.all(arc @ e1 >= 0.0) and np.array_equal(arc[:, 2], _entropic_mesh(True)[:, 2])
+    assert len(batches) > 1
+    axes = np.vstack(batches)
+    assert np.abs(axes @ np.cross([0.0, 0.0, 1.0], e1)).max() <= 1e-15 and np.all(axes @ e1 >= 0.0)
+    assert np.array_equal(batches[0][:, 2], _entropic_mesh(True)[0][:, 2])
 
 
 def test_cached_arrays_are_read_only():
-    for table in (_entropic_mesh(True), _entropic_mesh(False), states._PAULI_PAIRS):
+    for table in (*_entropic_mesh(True), *_entropic_mesh(False), states._PAULI_PAIRS):
         assert not table.flags.writeable

@@ -111,6 +111,17 @@ def test_meridian_path_matches_the_hemisphere_path(sampler, rng_seed):
     assert_allclose(entropic_discord(rho), entropic_discord(rotated), rtol=0.0, atol=ENTROPIC_TOL)
 
 
+def test_hemisphere_path_finds_the_free_theta_arc():
+    # a boundary-arc state turned by a Hadamard on qubit B keeps its free
+    # theta arc through the poles of A's sphere, but takes the hemisphere
+    # path, whose best vertex may sit at a pole, where its psi says nothing
+    # about the arc: the psi of the arc comes from the equator
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        rho = HADAMARD_B @ x_state(random_boundary_arc_params(rng)) @ HADAMARD_B
+        assert max_fidelity_bruteforce(rho).degenerate_family == "free_theta"
+
+
 def test_one_off_x_entry_takes_the_hemisphere_path(monkeypatch):
     # a single off-X entry of 1e-13 (and its conjugate) makes the state
     # non-X: the first batch is the five upper octahedron vertices, not
@@ -140,12 +151,11 @@ def test_one_off_x_entry_takes_the_hemisphere_path(monkeypatch):
 
 def test_x_states_skip_the_hemisphere_rules(monkeypatch):
     # the arc decides families by _meridian_family and never reaches
-    # _detect_free_family or the compass search past MAX_EVALS
+    # _detect_free_family
     def forbidden(*_args):
         raise AssertionError("hemisphere rule reached")
 
     monkeypatch.setattr(discord_core, "_detect_free_family", forbidden)
-    monkeypatch.setattr(discord_core, "_compass_batch", forbidden)
     rng = np.random.default_rng(43)
     for sampler in sorted(SAMPLERS):
         for _ in range(10):
