@@ -82,7 +82,7 @@ ARC_ROUNDING = 64 * np.finfo(float).eps    # the arc's distance from the meridia
 # children (_split), as columns of it and its midpoints
 _OCTAHEDRON = np.vstack([np.eye(3)[:2], -np.eye(3)[:2], np.eye(3)[2]])   # +x, +y, -x, -y, +z
 _UPPER_FACES = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
-_EQUATOR = np.vstack([np.eye(3)[:2], -np.eye(3)[:1]])                   # +x, +y, -x
+_EQUATOR = np.vstack([np.eye(3)[:2], -np.eye(3)[:1]]), np.array([[0, 1], [1, 2]])   # arcs +x, +y, -x
 _EDGES = {2: [[0, 1]], 3: [[0, 1], [1, 2], [2, 0]]}
 _CHILDREN = {2: np.array([[0, 2], [2, 1]]), 3: np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])}
 
@@ -346,7 +346,7 @@ def _detect_free_family(objective, vals, best_u):
         if np.all(objective(_directions(np.full_like(PSI_AXIS, best.theta), PSI_AXIS)) >= floor):
             return "free_psi"
     else:
-        verts, neg = _refine(lambda u: -objective(u), *_fine_mesh(_EQUATOR, np.array([[0, 1], [1, 2]])))
+        verts, neg = _refine(lambda u: -objective(u), *_fine_mesh(*_EQUATOR))
         psi_opt = MeasurementDirection(tuple(verts[np.argmin(neg)])).psi
     if np.all(objective(_directions(THETA_AXIS, np.full_like(THETA_AXIS, psi_opt))) >= floor):
         return "free_theta"
